@@ -473,84 +473,54 @@ def validate_algebra(w: WeilAlgebra) -> Report:
     rep.add("basis starts with the unit monomial", w.basis[0].is_unit())
     rep.add("dimension matches basis length", w.dim == len(w.basis))
 
-    shape_ok, shape_witness = True, None
-    for key, terms in w.struct.items():
-        if len(terms) > 1 or any(c != 1 for _, c in terms):
-            shape_ok, shape_witness = False, {"entry": key, "terms": terms}
-            break
-    rep.add("monomial table has at most one unit-coefficient term", shape_ok, shape_witness)
+    rep.add_first("monomial table has at most one unit-coefficient term", (
+        {"entry": key, "terms": terms}
+        for key, terms in w.struct.items() if len(terms) > 1 or any(c != 1 for _, c in terms)
+    ))
+    rep.add_first("unit element is neutral", (
+        {"pair": (labels[0], labels[i])}
+        for i in range(w.dim) if w.struct[(0, i)] != ((i, ONE),) or w.struct[(i, 0)] != ((i, ONE),)
+    ))
+    rep.add_first("multiplication is commutative", (
+        {"pair": (labels[i], labels[j])}
+        for i in range(w.dim) for j in range(i + 1, w.dim)
+        if sorted(w.struct[(i, j)]) != sorted(w.struct[(j, i)])
+    ))
+    rep.add_first("multiplication is associative", (
+        {"triple": (labels[i], labels[j], labels[k])}
+        for i in range(w.dim) for j in range(w.dim) for k in range(w.dim)
+        if _combine(w, w.struct[(i, j)], k, right=True)
+        != _combine(w, w.struct[(j, k)], i, right=False)
+    ))
 
-    ok, witness = True, None
-    for i in range(w.dim):
-        if w.struct[(0, i)] != ((i, ONE),) or w.struct[(i, 0)] != ((i, ONE),):
-            ok, witness = False, {"pair": (labels[0], labels[i])}
-            break
-    rep.add("unit element is neutral", ok, witness)
-
-    ok, witness = True, None
-    for i in range(w.dim):
-        for j in range(i + 1, w.dim):
-            if sorted(w.struct[(i, j)]) != sorted(w.struct[(j, i)]):
-                ok, witness = False, {"pair": (labels[i], labels[j])}
-                break
-        if not ok:
-            break
-    rep.add("multiplication is commutative", ok, witness)
-
-    ok, witness = True, None
-    for i in range(w.dim):
-        for j in range(w.dim):
-            ij = w.struct[(i, j)]
-            for k in range(w.dim):
-                left = _combine(w, ij, k, right=True)
-                right = _combine(w, w.struct[(j, k)], i, right=False)
-                if left != right:
-                    ok, witness = False, {"triple": (labels[i], labels[j], labels[k])}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("multiplication is associative", ok, witness)
-
-    ok, witness = True, None
     r = w.nilpotency_index
-    for i in range(1, w.dim):
-        power = {i: ONE}
-        for _ in range(r - 1):
-            power = _sparse_mul(w, power, {i: ONE})
-        power = _sparse_mul(w, power, {i: ONE})
-        if power:
-            ok, witness = False, {"element": labels[i], "power": r}
-            break
-    rep.add("non-unit basis elements are nilpotent at the stated index", ok, witness)
 
-    ok, witness = True, None
-    if w.dim > 1:
-        for combo in itertools.combinations_with_replacement(range(1, w.dim), r):
-            acc = {combo[0]: ONE}
-            for idx in combo[1:]:
-                acc = _sparse_mul(w, acc, {idx: ONE})
-                if not acc:
-                    break
-            if acc:
-                ok, witness = False, {"product": tuple(labels[c] for c in combo)}
-                break
-    rep.add("every product of nilpotency-index many non-unit elements vanishes", ok, witness)
+    def non_nilpotent():
+        for i in range(1, w.dim):
+            power = {i: ONE}
+            for _ in range(r - 1):
+                power = _sparse_mul(w, power, {i: ONE})
+            if _sparse_mul(w, power, {i: ONE}):
+                yield {"element": labels[i], "power": r}
 
-    ok = r == 1
-    if w.dim > 1:
-        for combo in itertools.combinations_with_replacement(range(1, w.dim), r - 1):
-            acc = {combo[0]: ONE}
-            for idx in combo[1:]:
-                acc = _sparse_mul(w, acc, {idx: ONE})
-                if not acc:
-                    break
-            if acc:
-                ok = True
-                break
-    rep.add("the nilpotency index is minimal", ok,
-            None if ok else {"index": r})
+    rep.add_first("non-unit basis elements are nilpotent at the stated index", non_nilpotent())
+
+    def surviving_products(length):
+        if w.dim > 1:
+            for combo in itertools.combinations_with_replacement(range(1, w.dim), length):
+                acc = {combo[0]: ONE}
+                for idx in combo[1:]:
+                    acc = _sparse_mul(w, acc, {idx: ONE})
+                    if not acc:
+                        break
+                if acc:
+                    yield combo
+
+    rep.add_first("every product of nilpotency-index many non-unit elements vanishes", (
+        {"product": tuple(labels[c] for c in combo)} for combo in surviving_products(r)
+    ))
+    minimal = r == 1 or next(surviving_products(r - 1), None) is not None
+    rep.add("the nilpotency index is minimal", minimal, {"index": r})
     return rep
 
 
@@ -577,23 +547,22 @@ def validate_morphism(phi: WeilMorphism) -> Report:
         {"row": aug_row},
     )
 
-    ok, witness = True, None
     labels = src.basis_labels()
     cols = [phi.column(s) for s in range(src.dim)]
-    for i in range(src.dim):
-        for j in range(i, src.dim):
-            direct = tgt.mul_coeffs(cols[i], cols[j])
-            via_table = [Fraction(0)] * tgt.dim
-            for k, c in src.struct[(i, j)]:
-                for t in range(tgt.dim):
-                    if cols[k][t]:
-                        via_table[t] += c * cols[k][t]
-            if tuple(via_table) != tuple(direct):
-                ok, witness = False, {"pair": (labels[i], labels[j])}
-                break
-        if not ok:
-            break
-    rep.add("images multiply like their arguments", ok, witness)
+
+    def unmultiplicative():
+        for i in range(src.dim):
+            for j in range(i, src.dim):
+                direct = tgt.mul_coeffs(cols[i], cols[j])
+                via_table = [Fraction(0)] * tgt.dim
+                for k, c in src.struct[(i, j)]:
+                    for t in range(tgt.dim):
+                        if cols[k][t]:
+                            via_table[t] += c * cols[k][t]
+                if tuple(via_table) != tuple(direct):
+                    yield {"pair": (labels[i], labels[j])}
+
+    rep.add_first("images multiply like their arguments", unmultiplicative())
     return rep
 
 

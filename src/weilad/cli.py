@@ -50,6 +50,16 @@ def _load_map(text: str, arity: int):
     return parse_smooth_map(text, _INLINE_VARS[:arity])
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not an integer" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _parse_point(text: str, mode: str):
     parts = [p for p in text.split(",") if p.strip()]
     vals = [scalars.parse_scalar(p) for p in parts]
@@ -177,50 +187,21 @@ def cmd_laws(args) -> int:
 
 def cmd_model(args) -> int:
     instance = load_instance_file(args.input)
-    roles = instance.roles
-    reports = []
+    roles = instance.resolved
+    bound = args.max_enum
 
     if args.check == "ccc":
-        cfg = roles.get("ccc", {})
-        functors = [instance.functor(n) for n in cfg.get("functors", [])]
-        probes = [instance.functor(n) for n in cfg.get("probes", [])]
-        pms = [instance.nat_trans[n] for n in cfg.get("probe_morphisms", [])]
-        for m in functors:
-            for n in functors:
-                reports.append(verify_ccc(m, n, probes, pms, max_enum=args.max_enum))
+        reports = [verify_ccc(m, n, roles.ccc_probes, roles.ccc_probe_morphisms, max_enum=bound)
+                   for m in roles.ccc_functors for n in roles.ccc_functors]
     elif args.check == "slice-ccc":
-        cfg = roles.get("slice_ccc", {})
-        base = instance.functor(cfg["base"])
-        probes = [instance.sliced_obj(p) for p in cfg.get("probes", [])]
-        for a_name, b_name in cfg.get("pairs", []):
-            reports.append(
-                verify_slice_ccc(base, instance.sliced_obj(a_name),
-                                 instance.sliced_obj(b_name), probes, max_enum=args.max_enum)
-            )
+        reports = [verify_slice_ccc(roles.slice_base, a, b, roles.slice_probes, max_enum=bound)
+                   for a, b in roles.slice_pairs]
     elif args.check == "exp-compat":
-        for cfg in roles.get("exp_compat", []):
-            second = None
-            if cfg.get("eta"):
-                second = (instance.endo(cfg["g2"]), instance.family(cfg["eta"]))
-            reports.append(exp_compat_check(
-                instance.endo(cfg["g"]), instance.functor(cfg["m"]),
-                instance.functor(cfg["n"]), second, args.max_enum))
-        for cfg in roles.get("slice_exp_compat", []):
-            second = None
-            if cfg.get("eta"):
-                second = (instance.endo(cfg["g2"]), instance.family(cfg["eta"]))
-            reports.append(exp_compat_check_slice(
-                instance.endo(cfg["g"]), instance.functor(cfg["base"]),
-                instance.sliced_obj(cfg["a"]), instance.sliced_obj(cfg["b"]),
-                second, args.max_enum))
+        reports = [exp_compat_check(*r.args, r.second, bound) for r in roles.exp_compat]
+        reports += [exp_compat_check_slice(*r.args, r.second, bound)
+                    for r in roles.slice_exp_compat]
     else:
-        for cfg in roles.get("localization", []):
-            second = None
-            if cfg.get("eta"):
-                second = (instance.endo(cfg["g2"]), instance.family(cfg["eta"]))
-            reports.append(localization_check(
-                instance.endo(cfg["g"]), instance.sliced_obj(cfg["a"]),
-                instance.functor(cfg["r"]), second, args.max_enum))
+        reports = [localization_check(*r.args, r.second, bound) for r in roles.localization]
 
     payload = {
         "instance": instance.name,
@@ -235,7 +216,7 @@ def cmd_model(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "human"), default="json")
-    common.add_argument("--max-enum", type=int, default=None,
+    common.add_argument("--max-enum", type=_positive_int, default=None,
                         help="candidate bound for finite enumerations "
                              "(default: WEILAD_MAX_ENUM or 10^7)")
 

@@ -16,18 +16,26 @@ import itertools
 import os
 from dataclasses import dataclass, field
 
-from ..errors import SizeLimit, WeilError
+from ..errors import BadParameter, SizeLimit, WeilError
 from ..report import Report
 
 DEFAULT_MAX_ENUM = 10_000_000
 
 
 def resolve_max_enum(value=None) -> int:
-    """Explicit argument, else the WEILAD_MAX_ENUM environment variable, else the default."""
-    if value is not None:
-        return int(value)
-    env = os.environ.get("WEILAD_MAX_ENUM")
-    return int(env) if env else DEFAULT_MAX_ENUM
+    """Explicit argument, else the WEILAD_MAX_ENUM environment variable, else the default.
+
+    The bound must be a positive integer; anything else raises BadParameter.
+    """
+    if value is None:
+        value = os.environ.get("WEILAD_MAX_ENUM") or DEFAULT_MAX_ENUM
+    try:
+        bound = int(value)
+    except (TypeError, ValueError):
+        raise BadParameter("enumeration bound must be an integer, got %r" % (value,)) from None
+    if bound < 1:
+        raise BadParameter("enumeration bound must be at least 1, got %d" % bound)
+    return bound
 
 
 def label_key(x):
@@ -60,10 +68,13 @@ class FinCat:
     identities: dict
     comp: dict
     _by_name: dict = field(default_factory=dict)
+    _sorted_from: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for a in self.arrows:
             self._by_name[a.name] = a
+        for obj in self.objects:
+            self._sorted_from[obj] = tuple(sorted(self.arrows_from(obj)))
 
     def arrow(self, name: str) -> Arrow:
         try:
@@ -91,6 +102,10 @@ class FinCat:
 
     def arrows_from(self, obj: str) -> tuple:
         return tuple(a.name for a in self.arrows if a.dom == obj)
+
+    def sorted_arrows_from(self, obj: str) -> tuple:
+        """The arrows out of ``obj`` in name order: the index set of a family at ``obj``."""
+        return self._sorted_from[obj]
 
     def arrows_between(self, dom: str, cod: str) -> tuple:
         return tuple(a.name for a in self.arrows if a.dom == dom and a.cod == cod)
@@ -121,61 +136,46 @@ def fincat(name, objects, arrows, identities, comp) -> FinCat:
 def validate_category(cat: FinCat) -> Report:
     rep = Report("category %s" % cat.name)
 
-    ok, witness = True, None
-    for obj in cat.objects:
-        ident = cat.identities.get(obj)
-        if ident is None or ident not in cat._by_name:
-            ok, witness = False, {"object": obj}
-            break
-        a = cat.arrow(ident)
-        if a.dom != obj or a.cod != obj:
-            ok, witness = False, {"object": obj, "identity": ident}
-            break
-    rep.add("every object has an identity endo-arrow", ok, witness)
-    if not ok:
+    def bad_identities():
+        for obj in cat.objects:
+            ident = cat.identities.get(obj)
+            if ident is None or ident not in cat._by_name:
+                yield {"object": obj}
+            elif cat.dom(ident) != obj or cat.cod(ident) != obj:
+                yield {"object": obj, "identity": ident}
+
+    if not rep.add_first("every object has an identity endo-arrow", bad_identities()):
         return rep
 
-    ok, witness = True, None
-    for g, f in cat.composable_pairs():
-        got = cat.comp.get((g, f))
-        if got is None or got not in cat._by_name:
-            ok, witness = False, {"pair": (g, f), "entry": got}
-            break
-        a = cat.arrow(got)
-        if a.dom != cat.dom(f) or a.cod != cat.cod(g):
-            ok, witness = False, {"pair": (g, f), "entry": got}
-            break
-    rep.add("composition table is total with correct endpoints", ok, witness)
-    if not ok:
+    def bad_composites():
+        for g, f in cat.composable_pairs():
+            got = cat.comp.get((g, f))
+            if (got is None or got not in cat._by_name
+                    or cat.dom(got) != cat.dom(f) or cat.cod(got) != cat.cod(g)):
+                yield {"pair": (g, f), "entry": got}
+
+    if not rep.add_first("composition table is total with correct endpoints", bad_composites()):
         return rep
 
-    ok, witness = True, None
-    for f in cat.arrows:
-        left = cat.comp.get((cat.identity(f.cod), f.name))
-        right = cat.comp.get((f.name, cat.identity(f.dom)))
-        if left != f.name or right != f.name:
-            ok, witness = False, {"arrow": f.name, "left": left, "right": right}
-            break
-    rep.add("identities are neutral", ok, witness)
+    def bad_units():
+        for f in cat.arrows:
+            left = cat.comp.get((cat.identity(f.cod), f.name))
+            right = cat.comp.get((f.name, cat.identity(f.dom)))
+            if left != f.name or right != f.name:
+                yield {"arrow": f.name, "left": left, "right": right}
 
-    ok, witness = True, None
-    for f in cat.arrows:
-        for g in cat.arrows:
-            if g.dom != f.cod:
-                continue
+    rep.add_first("identities are neutral", bad_units())
+
+    def bad_triples():
+        for g, f in cat.composable_pairs():
             for h in cat.arrows:
-                if h.dom != g.cod:
-                    continue
-                a = cat.comp.get((h.name, cat.comp[(g.name, f.name)]))
-                b = cat.comp.get((cat.comp[(h.name, g.name)], f.name))
-                if a != b:
-                    ok, witness = False, {"triple": (h.name, g.name, f.name), "left": a, "right": b}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("composition is associative", ok, witness)
+                if h.dom == cat.cod(g):
+                    a = cat.comp.get((h.name, cat.comp[(g, f)]))
+                    b = cat.comp.get((cat.comp[(h.name, g)], f))
+                    if a != b:
+                        yield {"triple": (h.name, g, f), "left": a, "right": b}
+
+    rep.add_first("composition is associative", bad_triples())
     return rep
 
 
@@ -227,48 +227,41 @@ def validate_functor(f: FinFunctor, name=None) -> Report:
     rep = Report("functor %s" % (name or f.name or "?"))
     cat = f.cat
 
-    ok, witness = True, None
-    for c in cat.objects:
-        elems = f.on_objects.get(c)
-        if elems is None or len(set(elems)) != len(elems):
-            ok, witness = False, {"object": c}
-            break
-    rep.add("each object carries a duplicate-free element tuple", ok, witness)
-    if not ok:
+    def bad_objects():
+        for c in cat.objects:
+            elems = f.on_objects.get(c)
+            if elems is None or len(set(elems)) != len(elems):
+                yield {"object": c}
+
+    if not rep.add_first("each object carries a duplicate-free element tuple", bad_objects()):
         return rep
 
-    ok, witness = True, None
-    for a in cat.arrows:
-        table = f.on_morphisms.get(a.name)
-        if table is None or set(table) != set(f.at(a.dom)):
-            ok, witness = False, {"arrow": a.name}
-            break
-        if any(v not in set(f.at(a.cod)) for v in table.values()):
-            ok, witness = False, {"arrow": a.name}
-            break
-    rep.add("each arrow carries a total function into its codomain", ok, witness)
-    if not ok:
+    def bad_tables():
+        for a in cat.arrows:
+            table = f.on_morphisms.get(a.name)
+            if (table is None or set(table) != set(f.at(a.dom))
+                    or any(v not in set(f.at(a.cod)) for v in table.values())):
+                yield {"arrow": a.name}
+
+    if not rep.add_first("each arrow carries a total function into its codomain", bad_tables()):
         return rep
 
-    ok, witness = True, None
-    for c in cat.objects:
-        table = f.map(cat.identity(c))
-        if any(table[x] != x for x in f.at(c)):
-            ok, witness = False, {"object": c}
-            break
-    rep.add("identities act as identity functions", ok, witness)
+    def moved_by_identity():
+        for c in cat.objects:
+            table = f.map(cat.identity(c))
+            if any(table[x] != x for x in f.at(c)):
+                yield {"object": c}
 
-    ok, witness = True, None
-    for g, h in cat.composable_pairs():
-        combined = f.map(cat.compose(g, h))
-        gh = f.map(g)
-        for x in f.at(cat.dom(h)):
-            if combined[x] != gh[f.map(h)[x]]:
-                ok, witness = False, {"pair": (g, h), "element": x}
-                break
-        if not ok:
-            break
-    rep.add("composition of arrows acts as composition of functions", ok, witness)
+    rep.add_first("identities act as identity functions", moved_by_identity())
+
+    def bad_composites():
+        for g, h in cat.composable_pairs():
+            combined, gh, hh = f.map(cat.compose(g, h)), f.map(g), f.map(h)
+            for x in f.at(cat.dom(h)):
+                if combined[x] != gh[hh[x]]:
+                    yield {"pair": (g, h), "element": x}
+
+    rep.add_first("composition of arrows acts as composition of functions", bad_composites())
     return rep
 
 
@@ -303,30 +296,26 @@ def validate_nat_trans(t: FinNatTrans, name=None) -> Report:
     rep = Report("transformation %s" % (name or t.name or "?"))
     cat = t.source.cat
 
-    ok, witness = True, None
-    for c in cat.objects:
-        comp = t.components.get(c)
-        if comp is None or set(comp) != set(t.source.at(c)):
-            ok, witness = False, {"object": c}
-            break
-        if any(v not in set(t.target.at(c)) for v in comp.values()):
-            ok, witness = False, {"object": c}
-            break
-    rep.add("components are total functions with the right endpoints", ok, witness)
-    if not ok:
+    def bad_components():
+        for c in cat.objects:
+            comp = t.components.get(c)
+            if (comp is None or set(comp) != set(t.source.at(c))
+                    or any(v not in set(t.target.at(c)) for v in comp.values())):
+                yield {"object": c}
+
+    if not rep.add_first("components are total functions with the right endpoints",
+                         bad_components()):
         return rep
 
-    ok, witness = True, None
-    for a in cat.arrows:
-        for x in t.source.at(a.dom):
-            left = t.components[a.cod][t.source.apply(a.name, x)]
-            right = t.target.apply(a.name, t.components[a.dom][x])
-            if left != right:
-                ok, witness = False, {"arrow": a.name, "element": x, "left": left, "right": right}
-                break
-        if not ok:
-            break
-    rep.add("every naturality square commutes", ok, witness)
+    def open_squares():
+        for a in cat.arrows:
+            for x in t.source.at(a.dom):
+                left = t.components[a.cod][t.source.apply(a.name, x)]
+                right = t.target.apply(a.name, t.components[a.dom][x])
+                if left != right:
+                    yield {"arrow": a.name, "element": x, "left": left, "right": right}
+
+    rep.add_first("every naturality square commutes", open_squares())
     return rep
 
 
@@ -433,42 +422,30 @@ def validate_endofunctor(g: FinEndofunctor, name=None) -> Report:
     rep = Report("endofunctor %s" % (name or g.name or "?"))
     cat = g.cat
 
-    ok, witness = True, None
-    for c in cat.objects:
-        if g.on_objects.get(c) not in cat.objects:
-            ok, witness = False, {"object": c}
-            break
-    rep.add("objects map to objects", ok, witness)
-    if not ok:
+    if not rep.add_first("objects map to objects", (
+        {"object": c} for c in cat.objects if g.on_objects.get(c) not in cat.objects
+    )):
         return rep
 
-    ok, witness = True, None
-    for a in cat.arrows:
-        img = g.on_morphisms.get(a.name)
-        if img is None or img not in cat._by_name:
-            ok, witness = False, {"arrow": a.name}
-            break
-        b = cat.arrow(img)
-        if b.dom != g.obj(a.dom) or b.cod != g.obj(a.cod):
-            ok, witness = False, {"arrow": a.name, "image": img}
-            break
-    rep.add("arrows map to arrows with transported endpoints", ok, witness)
-    if not ok:
+    def bad_arrows():
+        for a in cat.arrows:
+            img = g.on_morphisms.get(a.name)
+            if img is None or img not in cat._by_name:
+                yield {"arrow": a.name}
+            elif cat.dom(img) != g.obj(a.dom) or cat.cod(img) != g.obj(a.cod):
+                yield {"arrow": a.name, "image": img}
+
+    if not rep.add_first("arrows map to arrows with transported endpoints", bad_arrows()):
         return rep
 
-    ok, witness = True, None
-    for c in cat.objects:
-        if g.mor(cat.identity(c)) != cat.identity(g.obj(c)):
-            ok, witness = False, {"object": c}
-            break
-    rep.add("identities map to identities", ok, witness)
-
-    ok, witness = True, None
-    for a, b in cat.composable_pairs():
-        if g.mor(cat.compose(a, b)) != cat.compose(g.mor(a), g.mor(b)):
-            ok, witness = False, {"pair": (a, b)}
-            break
-    rep.add("composition is preserved", ok, witness)
+    rep.add_first("identities map to identities", (
+        {"object": c} for c in cat.objects
+        if g.mor(cat.identity(c)) != cat.identity(g.obj(c))
+    ))
+    rep.add_first("composition is preserved", (
+        {"pair": (a, b)} for a, b in cat.composable_pairs()
+        if g.mor(cat.compose(a, b)) != cat.compose(g.mor(a), g.mor(b))
+    ))
     return rep
 
 
@@ -501,28 +478,26 @@ def validate_nat_family(eta: NatFamily, name=None) -> Report:
     rep = Report("family %s" % (name or eta.name or "?"))
     cat = eta.source.cat
 
-    ok, witness = True, None
-    for c in cat.objects:
-        comp = eta.components.get(c)
-        if comp is None or comp not in cat._by_name:
-            ok, witness = False, {"object": c}
-            break
-        a = cat.arrow(comp)
-        if a.dom != eta.source.obj(c) or a.cod != eta.target.obj(c):
-            ok, witness = False, {"object": c, "component": comp}
-            break
-    rep.add("components are arrows with the transported endpoints", ok, witness)
-    if not ok:
+    def bad_components():
+        for c in cat.objects:
+            comp = eta.components.get(c)
+            if comp is None or comp not in cat._by_name:
+                yield {"object": c}
+            elif cat.dom(comp) != eta.source.obj(c) or cat.cod(comp) != eta.target.obj(c):
+                yield {"object": c, "component": comp}
+
+    if not rep.add_first("components are arrows with the transported endpoints",
+                         bad_components()):
         return rep
 
-    ok, witness = True, None
-    for a in cat.arrows:
-        left = cat.compose(eta.at(a.cod), eta.source.mor(a.name))
-        right = cat.compose(eta.target.mor(a.name), eta.at(a.dom))
-        if left != right:
-            ok, witness = False, {"arrow": a.name, "left": left, "right": right}
-            break
-    rep.add("every naturality square commutes", ok, witness)
+    def open_squares():
+        for a in cat.arrows:
+            left = cat.compose(eta.at(a.cod), eta.source.mor(a.name))
+            right = cat.compose(eta.target.mor(a.name), eta.at(a.dom))
+            if left != right:
+                yield {"arrow": a.name, "left": left, "right": right}
+
+    rep.add_first("every naturality square commutes", open_squares())
     return rep
 
 
@@ -565,15 +540,16 @@ def validate_endofunctor_data(data: EndofunctorData, name=None) -> Report:
     rep.merge(validate_nat_family(data.to_id, "to_id"))
     rep.merge(validate_nat_family(data.from_id, "from_id"))
     cat = data.functor.cat
-    ok, witness = True, None
-    for c in cat.objects:
-        outgoing = data.from_id.components.get(c)
-        incoming = data.to_id.components.get(c)
-        got = cat.comp.get((incoming, outgoing)) if outgoing and incoming else None
-        if got != cat.identity(c):
-            ok, witness = False, {"object": c, "composite": got}
-            break
-    rep.add("projection after inclusion is the identity", ok, witness)
+
+    def bad_round_trips():
+        for c in cat.objects:
+            outgoing = data.from_id.components.get(c)
+            incoming = data.to_id.components.get(c)
+            got = cat.comp.get((incoming, outgoing)) if outgoing and incoming else None
+            if got != cat.identity(c):
+                yield {"object": c, "composite": got}
+
+    rep.add_first("projection after inclusion is the identity", bad_round_trips())
     return rep
 
 

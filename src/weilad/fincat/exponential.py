@@ -25,15 +25,6 @@ from .core import (
 from .limits import product
 
 
-def _sorted_arrows_from(cat, obj):
-    return tuple(sorted(cat.arrows_from(obj)))
-
-
-def family_lookup(element) -> dict:
-    """Element of an exponential -> {arrow: images tuple}."""
-    return dict(element)
-
-
 def exponential(m: FinFunctor, n: FinFunctor, max_enum=None) -> FinFunctor:
     """The functor of compatible function families, built by bounded search.
 
@@ -46,61 +37,22 @@ def exponential(m: FinFunctor, n: FinFunctor, max_enum=None) -> FinFunctor:
     """
     cat = m.cat
     bound = resolve_max_enum(max_enum)
-    n_index = {c: {x: i for i, x in enumerate(n.at(c))} for c in cat.objects}
 
     on_objects = {}
     for w in cat.objects:
-        arrs = _sorted_arrows_from(cat, w)
-        pos = {a: i for i, a in enumerate(arrs)}
-
-        total = 1
-        empty = False
-        for a in arrs:
-            cod = cat.cod(a)
-            if n.at(cod) and not m.at(cod):
-                empty = True
-                break
-            total *= max(1, len(m.at(cod))) ** len(n.at(cod))
-            if total > bound:
-                raise SizeLimit(
-                    "exponential candidate count at %s exceeds bound %d" % (w, bound)
-                )
-        if empty:
-            on_objects[w] = ()
-            continue
-
-        by_level: dict = {i: [] for i in range(len(arrs))}
-        for phi1 in arrs:
-            for phi2 in cat.arrows_from(cat.cod(phi1)):
-                phi21 = cat.compose(phi2, phi1)
-                by_level[max(pos[phi1], pos[phi21])].append((phi1, phi2, phi21))
-
-        found = []
-        assign: dict = {}
-
-        def extend(i, w=w, arrs=arrs, by_level=by_level, found=found, assign=assign):
-            if i == len(arrs):
-                found.append(tuple((a, assign[a]) for a in arrs))
-                return
-            a = arrs[i]
-            cod = cat.cod(a)
-            for images in itertools.product(m.at(cod), repeat=len(n.at(cod))):
-                assign[a] = images
-                if _constraints_hold(cat, m, n, n_index, assign, by_level[i]):
-                    extend(i + 1)
-            del assign[a]
-
-        extend(0)
-        on_objects[w] = tuple(found)
+        arrs = cat.sorted_arrows_from(w)
+        dom = {a: n.at(cat.cod(a)) for a in arrs}
+        cod = {a: m.at(cat.cod(a)) for a in arrs}
+        overflow = "exponential candidate count at %s exceeds bound %d" % (w, bound)
+        families = _compatible_families(cat, arrs, dom, cod, n, m, bound, overflow)
+        on_objects[w] = tuple(tuple(zip(arrs, fam)) for fam in families)
 
     element_sets = {w: set(v) for w, v in on_objects.items()}
     on_morphisms = {}
     for ar in cat.arrows:
-        arrs2 = _sorted_arrows_from(cat, ar.cod)
         table = {}
         for s in on_objects[ar.dom]:
-            lookup = family_lookup(s)
-            image = tuple((a2, lookup[cat.compose(a2, ar.name)]) for a2 in arrs2)
+            image = _reindex(cat, ar.name, s)
             if image not in element_sets[ar.cod]:
                 raise NonNatural(
                     "reindexed family escapes the exponential",
@@ -112,18 +64,65 @@ def exponential(m: FinFunctor, n: FinFunctor, max_enum=None) -> FinFunctor:
     return FinFunctor(cat, on_objects, on_morphisms, "(%s)^(%s)" % (m.name, n.name))
 
 
-def _constraints_hold(cat, m, n, n_index, assign, constraints) -> bool:
-    for phi1, phi2, phi21 in constraints:
-        s1 = assign[phi1]
-        s21 = assign[phi21]
-        cod1 = cat.cod(phi1)
-        m_phi2 = m.map(phi2)
-        n_phi2 = n.map(phi2)
-        idx21 = n_index[cat.cod(phi2)]
-        for k, elem in enumerate(n.at(cod1)):
-            if m_phi2[s1[k]] != s21[idx21[n_phi2[elem]]]:
-                return False
-    return True
+def _compatible_families(cat, arrs, dom, cod, n, m, bound, overflow) -> list:
+    """Every family of maps ``dom[a] -> cod[a]``, one per arrow of ``arrs``,
+    with ``m(phi2) . s[phi1] = s[phi2 . phi1] . n(phi2)`` for composable pairs.
+
+    The functor ``n`` acts on domain elements and ``m`` on codomain elements;
+    both the plain and the slice exponential reduce to this search.  A
+    family is a tuple of image tuples aligned with ``arrs``; ``images[k]`` is
+    where ``dom[a][k]`` goes.  The search is depth-first in the order of
+    ``arrs``, each equation checked as soon as both of its arrows are
+    assigned.  An arrow with a nonempty domain and an empty codomain admits
+    no family; otherwise the raw candidate count is bounded first and
+    overflow raises SizeLimit with the ``overflow`` message.
+    """
+    total = 1
+    for a in arrs:
+        if dom[a] and not cod[a]:
+            return []
+        total *= max(1, len(cod[a])) ** len(dom[a])
+        if total > bound:
+            raise SizeLimit(overflow)
+
+    pos = {a: i for i, a in enumerate(arrs)}
+    index = {a: {x: k for k, x in enumerate(dom[a])} for a in arrs}
+    by_level = [[] for _ in arrs]
+    for phi1 in arrs:
+        for phi2 in cat.arrows_from(cat.cod(phi1)):
+            phi21 = cat.compose(phi2, phi1)
+            by_level[max(pos[phi1], pos[phi21])].append((phi1, n.map(phi2), m.map(phi2), phi21))
+
+    found = []
+    assign: dict = {}
+
+    def holds(level) -> bool:
+        for phi1, n_phi2, m_phi2, phi21 in by_level[level]:
+            s21, idx21 = assign[phi21], index[phi21]
+            for x, y in zip(dom[phi1], assign[phi1]):
+                if m_phi2[y] != s21[idx21[n_phi2[x]]]:
+                    return False
+        return True
+
+    def extend(i):
+        if i == len(arrs):
+            found.append(tuple(assign[a] for a in arrs))
+            return
+        a = arrs[i]
+        for images in itertools.product(cod[a], repeat=len(dom[a])):
+            assign[a] = images
+            if holds(i):
+                extend(i + 1)
+        del assign[a]
+
+    extend(0)
+    return found
+
+
+def _reindex(cat, arrow: str, family: tuple) -> tuple:
+    """Precompose a family over the arrows out of dom(arrow) with ``arrow``."""
+    lookup = dict(family)
+    return tuple((a, lookup[cat.compose(a, arrow)]) for a in cat.sorted_arrows_from(cat.cod(arrow)))
 
 
 def curry_transform(t: FinNatTrans, p: FinFunctor, n: FinFunctor, exp: FinFunctor) -> FinNatTrans:
@@ -131,7 +130,7 @@ def curry_transform(t: FinNatTrans, p: FinFunctor, n: FinFunctor, exp: FinFuncto
     cat = p.cat
     comps = {}
     for w in cat.objects:
-        arrs = _sorted_arrows_from(cat, w)
+        arrs = cat.sorted_arrows_from(w)
         table = {}
         for pt in p.at(w):
             fam = []
@@ -165,18 +164,12 @@ def verify_ccc(m, n, probes, probe_morphisms=(), max_enum=None) -> Report:
         hom_uncurried = list(enumerate_nat_trans(pn, m, max_enum))
         hom_curried = list(enumerate_nat_trans(p, exp, max_enum))
 
-        curried = []
-        landed, witness = True, None
-        for t in hom_uncurried:
-            ct = curry_transform(t, p, n, exp)
-            curried.append(ct)
-            if landed:
-                for c in m.cat.objects:
-                    bad = [x for x in ct.components[c].values() if x not in exp_sets[c]]
-                    if bad:
-                        landed, witness = False, {"probe": pname, "object": c, "family": bad[0]}
-                        break
-        rep.add("%s: curried maps land in the exponential" % pname, landed, witness)
+        curried = [curry_transform(t, p, n, exp) for t in hom_uncurried]
+        rep.add_first("%s: curried maps land in the exponential" % pname, (
+            {"probe": pname, "object": c, "family": x}
+            for ct in curried for c in m.cat.objects
+            for x in ct.components[c].values() if x not in exp_sets[c]
+        ))
 
         canon_a = {ct.canonical() for ct in curried}
         canon_b = {t.canonical() for t in hom_curried}
@@ -202,24 +195,25 @@ def verify_ccc(m, n, probes, probe_morphisms=(), max_enum=None) -> Report:
         if id(tgt) not in curried_by_probe:
             continue
         _, _, hom_tgt = curried_by_probe[id(tgt)]
-        ok, witness = True, None
-        for t in hom_tgt:
-            pulled_comps = {
-                c: {
-                    (x, y): t.apply(c, (u.apply(c, x), y))
-                    for x in src.at(c)
-                    for y in n.at(c)
+
+        def unnatural():
+            for t in hom_tgt:
+                pulled_comps = {
+                    c: {
+                        (x, y): t.apply(c, (u.apply(c, x), y))
+                        for x in src.at(c)
+                        for y in n.at(c)
+                    }
+                    for c in m.cat.objects
                 }
-                for c in m.cat.objects
-            }
-            pn_src, _, _ = product(src, n)
-            pulled = FinNatTrans(pn_src, m, pulled_comps)
-            left = curry_transform(pulled, src, n, exp).canonical()
-            right = _compose_then_canonical(curry_transform(t, tgt, n, exp), u)
-            if left != right:
-                ok, witness = False, {"probe_morphism": ui, "transform": t.canonical()}
-                break
-        rep.add("currying is natural along probe morphism %d" % ui, ok, witness)
+                pn_src, _, _ = product(src, n)
+                pulled = FinNatTrans(pn_src, m, pulled_comps)
+                left = curry_transform(pulled, src, n, exp).canonical()
+                right = _compose_then_canonical(curry_transform(t, tgt, n, exp), u)
+                if left != right:
+                    yield {"probe_morphism": ui, "transform": t.canonical()}
+
+        rep.add_first("currying is natural along probe morphism %d" % ui, unnatural())
 
     return rep
 

@@ -39,8 +39,10 @@ comparison families) is always available under the name ``id``.
                          "g2": ..., "eta": ...}...]
     }
 
-Loading validates all the data and raises with the failing check and
-witness, so a planted defect in a file is caught at the door.
+Loading resolves every name through the typed lookups of :class:`Instance`
+(the roles into :class:`ResolvedRoles`) and validates all the data, raising
+WeilError with the unknown name or the failing check and witness, so a
+planted defect in a file is caught at the door.
 """
 
 from __future__ import annotations
@@ -69,6 +71,43 @@ from .core import (
 from .core import validate_endofunctor_data
 
 
+@dataclass(frozen=True)
+class CheckRole:
+    """One entry of a comparison role with its names resolved.
+
+    ``args`` are the leading arguments of the check in order, ``second`` is
+    the optional ``(g2, eta)`` pair and ``raw`` is the entry as written.
+    """
+
+    args: tuple
+    second: tuple | None
+    raw: dict
+
+
+@dataclass(frozen=True)
+class ResolvedRoles:
+    """The ``roles`` section with every name resolved to its object."""
+
+    ccc_functors: tuple = ()
+    ccc_probes: tuple = ()
+    ccc_probe_morphisms: tuple = ()
+    slice_base: FinFunctor | None = None
+    slice_pairs: tuple = ()
+    slice_probes: tuple = ()
+    exp_compat: tuple = ()
+    slice_exp_compat: tuple = ()
+    localization: tuple = ()
+
+
+# leading arguments of each comparison check: (entry key, Instance lookup)
+_CHECK_ARGS = {
+    "exp_compat": (("g", "endo"), ("m", "functor"), ("n", "functor")),
+    "slice_exp_compat": (("g", "endo"), ("base", "functor"), ("a", "sliced_obj"),
+                         ("b", "sliced_obj")),
+    "localization": (("g", "endo"), ("a", "sliced_obj"), ("r", "functor")),
+}
+
+
 @dataclass
 class Instance:
     name: str
@@ -79,30 +118,60 @@ class Instance:
     nat_families: dict = field(default_factory=dict)
     sliced: dict = field(default_factory=dict)
     roles: dict = field(default_factory=dict)
+    resolved: ResolvedRoles = field(default_factory=ResolvedRoles)
+
+    def _lookup(self, table: dict, kind: str, name):
+        try:
+            return table[name]
+        except (KeyError, TypeError):
+            raise WeilError("instance %s has no %s %r" % (self.name, kind, name)) from None
 
     def functor(self, name: str) -> FinFunctor:
-        try:
-            return self.functors[name]
-        except KeyError:
-            raise WeilError("instance %s has no functor %r" % (self.name, name)) from None
+        return self._lookup(self.functors, "functor", name)
+
+    def transformation(self, name: str) -> FinNatTrans:
+        return self._lookup(self.nat_trans, "transformation", name)
 
     def endo(self, name: str) -> EndofunctorData:
-        try:
-            return self.endofunctors[name]
-        except KeyError:
-            raise WeilError("instance %s has no endofunctor %r" % (self.name, name)) from None
+        return self._lookup(self.endofunctors, "endofunctor", name)
 
     def family(self, name: str) -> NatFamily:
-        try:
-            return self.nat_families[name]
-        except KeyError:
-            raise WeilError("instance %s has no family %r" % (self.name, name)) from None
+        return self._lookup(self.nat_families, "family", name)
 
     def sliced_obj(self, name: str) -> SlicedObject:
+        return self._lookup(self.sliced, "sliced object", name)
+
+
+def _resolve_roles(inst: Instance) -> ResolvedRoles:
+    def entry(cfg, key, where):
         try:
-            return self.sliced[name]
-        except KeyError:
-            raise WeilError("instance %s has no sliced object %r" % (self.name, name)) from None
+            return cfg[key]
+        except (KeyError, TypeError):
+            raise WeilError("instance %s: role %s has no %r" % (inst.name, where, key)) from None
+
+    checks = {}
+    for role, spec in _CHECK_ARGS.items():
+        resolved = []
+        for i, cfg in enumerate(inst.roles.get(role, [])):
+            where = "%s[%d]" % (role, i)
+            args = tuple(getattr(inst, lookup)(entry(cfg, key, where)) for key, lookup in spec)
+            second = None
+            if cfg.get("eta"):
+                second = (inst.endo(entry(cfg, "g2", where)), inst.family(cfg["eta"]))
+            resolved.append(CheckRole(args, second, cfg))
+        checks[role] = tuple(resolved)
+
+    ccc = inst.roles.get("ccc", {})
+    sl = inst.roles.get("slice_ccc", {})
+    return ResolvedRoles(
+        ccc_functors=tuple(inst.functor(n) for n in ccc.get("functors", [])),
+        ccc_probes=tuple(inst.functor(n) for n in ccc.get("probes", [])),
+        ccc_probe_morphisms=tuple(inst.transformation(n) for n in ccc.get("probe_morphisms", [])),
+        slice_base=inst.functor(entry(sl, "base", "slice_ccc")) if sl else None,
+        slice_pairs=tuple((inst.sliced_obj(a), inst.sliced_obj(b)) for a, b in sl.get("pairs", [])),
+        slice_probes=tuple(inst.sliced_obj(n) for n in sl.get("probes", [])),
+        **checks,
+    )
 
 
 def load_instance(doc: dict, validate: bool = True) -> Instance:
@@ -119,9 +188,9 @@ def load_instance(doc: dict, validate: bool = True) -> Instance:
         comp,
     )
 
+    inst = Instance(name=name, cat=cat, roles=doc.get("roles", {}))
     reports = [validate_category(cat)] if validate else []
 
-    functors = {}
     for fname, body in doc.get("functors", {}).items():
         f = FinFunctor(
             cat,
@@ -129,24 +198,22 @@ def load_instance(doc: dict, validate: bool = True) -> Instance:
             {a.name: dict(body["on_morphisms"].get(a.name, {})) for a in cat.arrows},
             fname,
         )
-        functors[fname] = f
+        inst.functors[fname] = f
         if validate:
             reports.append(validate_functor(f, fname))
 
-    nat_trans = {}
     for tname, body in doc.get("nat_trans", {}).items():
         t = FinNatTrans(
-            functors[body["source"]],
-            functors[body["target"]],
+            inst.functor(body["source"]),
+            inst.functor(body["target"]),
             {c: dict(body["components"].get(c, {})) for c in cat.objects},
             tname,
         )
-        nat_trans[tname] = t
+        inst.nat_trans[tname] = t
         if validate:
             reports.append(validate_nat_trans(t, tname))
 
-    endos = {"id": identity_endofunctor_data(cat)}
-    plain_endos = {"id": endos["id"].functor}
+    inst.endofunctors["id"] = identity_endofunctor_data(cat)
     for gname, body in doc.get("endofunctors", {}).items():
         fun = FinEndofunctor(
             cat,
@@ -154,42 +221,40 @@ def load_instance(doc: dict, validate: bool = True) -> Instance:
             dict(body["on_morphisms"]),
             gname,
         )
-        plain_endos[gname] = fun
+        ident = inst.endo("id").functor
         data = EndofunctorData(
             fun,
-            NatFamily(fun, plain_endos["id"], dict(body["to_identity"]), "%s.to_id" % gname),
-            NatFamily(plain_endos["id"], fun, dict(body["from_identity"]), "%s.from_id" % gname),
+            NatFamily(fun, ident, dict(body["to_identity"]), "%s.to_id" % gname),
+            NatFamily(ident, fun, dict(body["from_identity"]), "%s.from_id" % gname),
             gname,
         )
-        endos[gname] = data
+        inst.endofunctors[gname] = data
         if validate:
             reports.append(validate_endofunctor(fun, gname))
             reports.append(validate_endofunctor_data(data, gname))
 
-    families = {}
     for ename, body in doc.get("nat_families", {}).items():
         fam = NatFamily(
-            plain_endos[body["source"]],
-            plain_endos[body["target"]],
+            inst.endo(body["source"]).functor,
+            inst.endo(body["target"]).functor,
             dict(body["components"]),
             ename,
         )
-        families[ename] = fam
+        inst.nat_families[ename] = fam
         if validate:
             reports.append(validate_nat_family(fam, ename))
 
-    sliced = {}
     for sname, body in doc.get("sliced", {}).items():
-        structure = nat_trans[body["structure"]]
-        expected_total = functors[body["total"]]
-        expected_base = functors[body["base"]]
+        structure = inst.transformation(body["structure"])
+        expected_total = inst.functor(body["total"])
+        expected_base = inst.functor(body["base"])
         if structure.source is not expected_total or structure.target is not expected_base:
             raise WeilError(
                 "sliced object %r: structure %r does not run %s -> %s"
                 % (sname, body["structure"], body["total"], body["base"])
             )
         s = SlicedObject(expected_total, structure, sname)
-        sliced[sname] = s
+        inst.sliced[sname] = s
         if validate:
             reports.append(validate_sliced(s, sname))
 
@@ -202,18 +267,14 @@ def load_instance(doc: dict, validate: bool = True) -> Instance:
                     lines.append("%s: %s (witness: %r)" % (rep.title, c.name, c.witness))
             raise WeilError("instance %s failed validation:\n%s" % (name, "\n".join(lines)))
 
-    return Instance(
-        name=name,
-        cat=cat,
-        functors=functors,
-        nat_trans=nat_trans,
-        endofunctors=endos,
-        nat_families=families,
-        sliced=sliced,
-        roles=doc.get("roles", {}),
-    )
+    inst.resolved = _resolve_roles(inst)
+    return inst
 
 
 def load_instance_file(path, validate: bool = True) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_instance(json.load(fh), validate=validate)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise WeilError("cannot read instance file %s: %s" % (path, exc)) from None
+    return load_instance(doc, validate=validate)

@@ -10,10 +10,9 @@ restricted to the fibers selected by transporting the base point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from ..errors import NonNatural, SizeLimit
+from ..errors import NonNatural
 from ..report import Report
 from .core import (
     EndofunctorData,
@@ -28,15 +27,12 @@ from .core import (
     resolve_max_enum,
     validate_nat_trans,
 )
+from .exponential import _compatible_families, _reindex
 from .limits import fibered_product
 
 
-def _sorted_arrows_from(cat, obj):
-    return tuple(sorted(cat.arrows_from(obj)))
-
-
-def _fiber_map_to_pairs(fiber, mapping):
-    return tuple(sorted(((b, mapping[b]) for b in fiber), key=lambda kv: label_key(kv[0])))
+def _fiber_pairs(fiber, images):
+    return tuple(sorted(zip(fiber, images), key=lambda kv: label_key(kv[0])))
 
 
 def slice_exponential(l: FinFunctor, a: SlicedObject, b: SlicedObject, max_enum=None) -> SlicedObject:
@@ -53,72 +49,26 @@ def slice_exponential(l: FinFunctor, a: SlicedObject, b: SlicedObject, max_enum=
 
     on_objects = {}
     for w in cat.objects:
-        arrs = _sorted_arrows_from(cat, w)
-        pos = {ar: i for i, ar in enumerate(arrs)}
+        arrs = cat.sorted_arrows_from(w)
         elems = []
         for point in l.at(w):
             fib_b = {ar: b.fiber(cat.cod(ar), l.apply(ar, point)) for ar in arrs}
             fib_a = {ar: a.fiber(cat.cod(ar), l.apply(ar, point)) for ar in arrs}
-
-            total = 1
-            impossible = False
-            for ar in arrs:
-                if fib_b[ar] and not fib_a[ar]:
-                    impossible = True
-                    break
-                total *= max(1, len(fib_a[ar])) ** len(fib_b[ar])
-                if total > bound:
-                    raise SizeLimit(
-                        "slice-exponential candidates at %s exceed bound %d" % (w, bound)
-                    )
-            if impossible:
-                continue
-
-            by_level: dict = {i: [] for i in range(len(arrs))}
-            for phi1 in arrs:
-                for phi2 in cat.arrows_from(cat.cod(phi1)):
-                    phi21 = cat.compose(phi2, phi1)
-                    by_level[max(pos[phi1], pos[phi21])].append((phi1, phi2, phi21))
-
-            assign: dict = {}
-
-            def extend(i, point=point, arrs=arrs, fib_a=fib_a, fib_b=fib_b,
-                       by_level=by_level, elems=elems, assign=assign):
-                if i == len(arrs):
-                    elems.append(
-                        (point, tuple((ar, _fiber_map_to_pairs(fib_b[ar], assign[ar])) for ar in arrs))
-                    )
-                    return
-                ar = arrs[i]
-                for images in itertools.product(fib_a[ar], repeat=len(fib_b[ar])):
-                    assign[ar] = dict(zip(fib_b[ar], images))
-                    ok = True
-                    for phi1, phi2, phi21 in by_level[i]:
-                        s21 = assign[phi21]
-                        for bx, ax in assign[phi1].items():
-                            if a.total.apply(phi2, ax) != s21[b.total.apply(phi2, bx)]:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        extend(i + 1)
-                del assign[ar]
-
-            extend(0)
+            overflow = "slice-exponential candidates at %s exceed bound %d" % (w, bound)
+            for fam in _compatible_families(cat, arrs, fib_b, fib_a, b.total, a.total,
+                                            bound, overflow):
+                elems.append(
+                    (point, tuple((ar, _fiber_pairs(fib_b[ar], images))
+                                  for ar, images in zip(arrs, fam)))
+                )
         on_objects[w] = tuple(elems)
 
     element_sets = {w: set(v) for w, v in on_objects.items()}
     on_morphisms = {}
     for ar in cat.arrows:
-        arrs2 = _sorted_arrows_from(cat, ar.cod)
         table = {}
         for point, fam in on_objects[ar.dom]:
-            lookup = dict(fam)
-            image = (
-                l.apply(ar.name, point),
-                tuple((a2, lookup[cat.compose(a2, ar.name)]) for a2 in arrs2),
-            )
+            image = (l.apply(ar.name, point), _reindex(cat, ar.name, fam))
             if image not in element_sets[ar.cod]:
                 raise NonNatural(
                     "reindexed fiber family escapes the slice exponential",
@@ -143,7 +93,7 @@ def curry_slice(t: FinNatTrans, p: SlicedObject, b: SlicedObject, exp: SlicedObj
     l = p.base
     comps = {}
     for w in cat.objects:
-        arrs = _sorted_arrows_from(cat, w)
+        arrs = cat.sorted_arrows_from(w)
         table = {}
         for pt in p.total.at(w):
             point = p.point(w, pt)
@@ -152,10 +102,7 @@ def curry_slice(t: FinNatTrans, p: SlicedObject, b: SlicedObject, exp: SlicedObj
                 cod = cat.cod(ar)
                 moved = p.total.apply(ar, pt)
                 fiber = b.fiber(cod, l.apply(ar, point))
-                fam.append(
-                    (ar, tuple(sorted(((bx, t.apply(cod, (moved, bx))) for bx in fiber),
-                               key=lambda kv: label_key(kv[0]))))
-                )
+                fam.append((ar, _fiber_pairs(fiber, [t.apply(cod, (moved, bx)) for bx in fiber])))
             table[pt] = (point, tuple(fam))
         comps[w] = table
     return FinNatTrans(p.total, exp.total, comps, "curry(%s)" % t.name)
@@ -183,22 +130,15 @@ def verify_slice_ccc(l, a, b, probes, probe_morphisms=(), max_enum=None) -> Repo
         ]
         hom_curried = [t for t in enumerate_slice_morphisms(p, exp, max_enum)]
 
-        curried = []
-        landed, witness = True, None
-        slice_ok, slice_witness = True, None
-        for t in hom_uncurried:
-            ct = curry_slice(t, p, b, exp)
-            curried.append(ct)
-            if landed:
-                for c in l.cat.objects:
-                    bad = [x for x in ct.components[c].values() if x not in exp_sets[c]]
-                    if bad:
-                        landed, witness = False, {"probe": pname, "object": c, "value": bad[0]}
-                        break
-            if slice_ok and not is_slice_morphism(ct, p, exp):
-                slice_ok, slice_witness = False, {"probe": pname}
-        rep.add("%s: curried maps land in the slice exponential" % pname, landed, witness)
-        rep.add("%s: curried maps respect the structure maps" % pname, slice_ok, slice_witness)
+        curried = [curry_slice(t, p, b, exp) for t in hom_uncurried]
+        rep.add_first("%s: curried maps land in the slice exponential" % pname, (
+            {"probe": pname, "object": c, "value": x}
+            for ct in curried for c in l.cat.objects
+            for x in ct.components[c].values() if x not in exp_sets[c]
+        ))
+        rep.add_first("%s: curried maps respect the structure maps" % pname, (
+            {"probe": pname} for ct in curried if not is_slice_morphism(ct, p, exp)
+        ))
 
         canon_a = {ct.canonical() for ct in curried}
         canon_b = {t.canonical() for t in hom_curried}
@@ -367,16 +307,11 @@ def is_iterated_object(anchor: SlicedObject, it: IteratedSliceObject) -> Report:
     """Membership test: the map to the anchor must be a slice morphism over L."""
     rep = Report("iterated-slice membership")
     rep.merge(validate_nat_trans(it.to_anchor, "map to anchor"))
-    cat = anchor.total.cat
-    ok, witness = True, None
-    for c in cat.objects:
-        for x in it.over_base.total.at(c):
-            if anchor.point(c, it.to_anchor.apply(c, x)) != it.over_base.point(c, x):
-                ok, witness = False, {"object": c, "element": x}
-                break
-        if not ok:
-            break
-    rep.add("structure map factors through the anchor", ok, witness)
+    rep.add_first("structure map factors through the anchor", (
+        {"object": c, "element": x}
+        for c in anchor.total.cat.objects for x in it.over_base.total.at(c)
+        if anchor.point(c, it.to_anchor.apply(c, x)) != it.over_base.point(c, x)
+    ))
     return rep
 
 

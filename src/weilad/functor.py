@@ -29,7 +29,23 @@ from .numbers import WeilNumber, constant, invert, scalar_like, variable
 from .primitives import apply_primitive
 
 
-class _LiftedSemantics:
+class _Semantics:
+    """Expression operations shared by both evaluation routes; division is per route."""
+
+    def binary(self, op, a, b):
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        return self.divide(a, b)
+
+    def call(self, prim, a):
+        return apply_primitive(prim, a)
+
+
+class _LiftedSemantics(_Semantics):
     """Expression operations on elements of a fixed algebra (possibly nested)."""
 
     def __init__(self, template: WeilNumber):
@@ -38,23 +54,14 @@ class _LiftedSemantics:
     def const(self, value: Fraction):
         return scalar_like(value, self.template)
 
-    def binary(self, op, a, b):
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
+    def divide(self, a, b):
         return a * invert(b)
 
     def power(self, a, n: int):
         return a ** n
 
-    def call(self, prim, a):
-        return apply_primitive(prim, a)
 
-
-class _ScalarSemantics:
+class _ScalarSemantics(_Semantics):
     """Plain evaluation on raw scalars; the independent route the lift must match."""
 
     def __init__(self, mode: str):
@@ -63,13 +70,7 @@ class _ScalarSemantics:
     def const(self, value: Fraction):
         return float(value) if self.mode == scalars.FLOAT else Fraction(value)
 
-    def binary(self, op, a, b):
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
+    def divide(self, a, b):
         if not b:
             raise BadParameter("division by zero")
         return a / b
@@ -78,9 +79,6 @@ class _ScalarSemantics:
         if n < 0 and not a:
             raise BadParameter("negative power of zero")
         return a ** n
-
-    def call(self, prim, a):
-        return apply_primitive(prim, a)
 
 
 def lift_eval(f: SmoothMap, w: WeilAlgebra, inputs, mode: str | None = None) -> list:

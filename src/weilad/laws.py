@@ -15,6 +15,7 @@ inputs derive their generators by hashing the (seed, law, instance) triple.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -179,13 +180,19 @@ class _Acc:
         else:
             rep.exact = False
             worst_rel = 0.0
+            non_finite_mismatch = False
             for x, y in zip(a, b):
-                err = abs(float(x) - float(y))
-                rel = err / max(1.0, abs(float(x)), abs(float(y)))
+                x, y = float(x), float(y)
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    # NaN equals nothing, so only matching infinities pass
+                    non_finite_mismatch = non_finite_mismatch or x != y
+                    continue
+                err = abs(x - y)
+                rel = err / max(1.0, abs(x), abs(y))
                 rep.max_abs_error = max(rep.max_abs_error, err)
                 worst_rel = max(worst_rel, rel)
             rep.max_rel_error = max(rep.max_rel_error, worst_rel)
-            if worst_rel > self.tol:
+            if worst_rel > self.tol or non_finite_mismatch:
                 rep.failures += 1
                 rep.witnesses.append(witness)
 
@@ -419,8 +426,7 @@ def _endo_pairs(instance):
 
 def _law1_finset(inst, acc, max_enum):
     for instance in _instances_for(inst.params):
-        roles = instance.roles.get("ccc", {})
-        functors = [instance.functor(n) for n in roles.get("functors", [])]
+        functors = instance.resolved.ccc_functors
         for g in instance.endofunctors.values():
             for m, n in itertools.combinations(functors, 2):
                 p, _, _ = product(m, n)
@@ -458,14 +464,10 @@ def _law3_finset(inst, acc, max_enum):
 
 def _law4_finset(inst, acc, max_enum):
     for instance in _instances_for(inst.params):
-        for cfg in instance.roles.get("exp_compat", []):
-            second = None
-            if cfg.get("eta"):
-                second = (instance.endo(cfg["g2"]), instance.family(cfg["eta"]))
-            rep = exp_compat_check(instance.endo(cfg["g"]), instance.functor(cfg["m"]),
-                                   instance.functor(cfg["n"]), second, max_enum)
+        for role in instance.resolved.exp_compat:
+            rep = exp_compat_check(*role.args, role.second, max_enum)
             acc.absorb(rep)
-            acc.check(rep.data.get("iso", False), ("L4 iso", instance.name, str(cfg)))
+            acc.check(rep.data.get("iso", False), ("L4 iso", instance.name, str(role.raw)))
 
 
 def _law5_finset(inst, acc, max_enum):
@@ -499,30 +501,17 @@ def _law6_finset(inst, acc, max_enum):
 
 def _law7_finset(inst, acc, max_enum):
     for instance in _instances_for(inst.params):
-        for cfg in instance.roles.get("exp_compat", []):
-            if not cfg.get("eta"):
-                continue
-            rep = exp_compat_check(
-                instance.endo(cfg["g"]), instance.functor(cfg["m"]),
-                instance.functor(cfg["n"]),
-                (instance.endo(cfg["g2"]), instance.family(cfg["eta"])), max_enum,
-            )
-            acc.absorb(rep)
+        for role in instance.resolved.exp_compat:
+            if role.second is not None:
+                acc.absorb(exp_compat_check(*role.args, role.second, max_enum))
 
 
 def _law10_finset(inst, acc, max_enum):
     for instance in _instances_for(inst.params):
-        for cfg in instance.roles.get("slice_exp_compat", []):
-            second = None
-            if cfg.get("eta"):
-                second = (instance.endo(cfg["g2"]), instance.family(cfg["eta"]))
-            rep = exp_compat_check_slice(
-                instance.endo(cfg["g"]), instance.functor(cfg["base"]),
-                instance.sliced_obj(cfg["a"]), instance.sliced_obj(cfg["b"]),
-                second, max_enum,
-            )
+        for role in instance.resolved.slice_exp_compat:
+            rep = exp_compat_check_slice(*role.args, role.second, max_enum)
             acc.absorb(rep)
-            acc.check(rep.data.get("iso", False), ("L10 iso", instance.name, str(cfg)))
+            acc.check(rep.data.get("iso", False), ("L10 iso", instance.name, str(role.raw)))
 
 
 def _law11_finset(inst, acc, max_enum):
@@ -544,15 +533,8 @@ def compose_then(second, first):
 
 def _law12_finset(inst, acc, max_enum):
     for instance in _instances_for(inst.params):
-        for cfg in instance.roles.get("localization", []):
-            second = None
-            if cfg.get("eta"):
-                second = (instance.endo(cfg["g2"]), instance.family(cfg["eta"]))
-            rep = localization_check(
-                instance.endo(cfg["g"]), instance.sliced_obj(cfg["a"]),
-                instance.functor(cfg["r"]), second, max_enum,
-            )
-            acc.absorb(rep)
+        for role in instance.resolved.localization:
+            acc.absorb(localization_check(*role.args, role.second, max_enum))
 
 
 _NUMERIC_IMPL = {

@@ -235,7 +235,7 @@ def invert(x: WeilNumber) -> WeilNumber:
     a = x.augmentation
     if not a:
         raise NotAUnit("constant term is zero; element has no inverse")
-    inv_a = _scalar_invert(a)
+    inv_a = reciprocal(a)
     t = (-x.nilpotent_part()).scale(inv_a)
     acc = x.ring_one()
     term = x.ring_one()
@@ -245,7 +245,8 @@ def invert(x: WeilNumber) -> WeilNumber:
     return acc.scale(inv_a)
 
 
-def _scalar_invert(a):
+def reciprocal(a):
+    """1/a for a unit element or a scalar; integers give exact Fractions."""
     if isinstance(a, WeilNumber):
         return invert(a)
     if isinstance(a, Fraction):

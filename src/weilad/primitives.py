@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import scalars
 from .errors import DomainError, UnsupportedInRationalMode
-from .numbers import WeilNumber, one_like, scalar_like, zero_like, invert
+from .numbers import WeilNumber, one_like, reciprocal, scalar_like, zero_like
 
 
 class Primitive:
@@ -90,19 +90,9 @@ def _value(p: Primitive, a, *params):
     return p.scalar_value(a, *params)
 
 
-def _recip(a):
-    if isinstance(a, WeilNumber):
-        return invert(a)
-    if isinstance(a, Fraction):
-        return Fraction(1, 1) / a
-    if isinstance(a, int):
-        return Fraction(1, a)
-    return 1.0 / a
-
-
 def _ipow(a, n: int):
     if n < 0:
-        return _ipow(_recip(a), -n)
+        return _ipow(reciprocal(a), -n)
     out = one_like(a)
     for _ in range(n):
         out = out * a
@@ -168,7 +158,7 @@ class _Log(Primitive):
     def derivatives(self, a, count):
         out = [_value(self, a)]
         if count > 1:
-            u = _recip(a)
+            u = reciprocal(a)
             upow = u
             sign, fact = 1, 1
             for i in range(1, count):
@@ -220,7 +210,7 @@ class _Sqrt(Primitive):
         v = _value(self, a)
         out = [v]
         if count > 1:
-            u = _recip(a)
+            u = reciprocal(a)
             cur = v
             coeff = Fraction(1)
             for i in range(1, count):
@@ -277,7 +267,7 @@ class _Atan(Primitive):
     def derivatives(self, a, count):
         out = [_value(self, a)]
         if count > 1:
-            u = _recip(_add_const(a * a, 1))
+            u = reciprocal(_add_const(a * a, 1))
             upow = u
             q = [1]
             for n in range(1, count):
@@ -296,14 +286,14 @@ class _Recip(Primitive):
     rational_ok = True
 
     def scalar_value(self, a):
-        return _recip(a)
+        return reciprocal(a)
 
     def check_domain(self, a):
         if not a:
             raise DomainError("recip needs a nonzero constant term")
 
     def derivatives(self, a, count):
-        u = _recip(a)
+        u = reciprocal(a)
         out = [u]
         upow = u
         sign, fact = 1, 1

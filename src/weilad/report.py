@@ -36,6 +36,17 @@ class Report:
     def add(self, name: str, passed: bool, witness=None) -> None:
         self.checks.append(Check(name, bool(passed), None if passed else witness))
 
+    def add_first(self, name: str, witnesses) -> bool:
+        """Record the first witness ``witnesses`` yields as the failure, or a pass.
+
+        Only the first item is drawn, so a generator stops at the first
+        counterexample; witnesses must not be None.  Returns whether the
+        check passed.
+        """
+        witness = next(iter(witnesses), None)
+        self.add(name, witness is None, witness)
+        return witness is None
+
     def failures(self):
         return [c for c in self.checks if not c.passed]
 

@@ -228,3 +228,34 @@ def test_laws_run_propagates_size_limit(capsys):
     doc = json.loads(out)
     jsonschema.validate(doc, SCHEMAS["error"])
     assert code == 1 and doc["error"] == "SizeLimit"
+
+
+@pytest.mark.parametrize("bound", ["-5", "0", "many"])
+def test_max_enum_below_one_is_a_usage_error(bound):
+    path = resources.files("weilad").joinpath("data/instances/iso.json")
+    with pytest.raises(SystemExit) as err:
+        main(["model", "check", "--input", str(path), "--check", "ccc", "--max-enum", bound])
+    assert err.value.code == 2
+
+
+def test_model_check_missing_input_is_an_error_document(capsys, tmp_path):
+    code, out = run(capsys, ["model", "check", "--input", str(tmp_path / "absent.json"),
+                             "--check", "ccc"])
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMAS["error"])
+    assert code == 1 and doc["error"] == "WeilError"
+
+
+@pytest.mark.parametrize("section, entry, key", [
+    ("sliced", "A", "structure"),
+    ("roles", "slice_ccc", "base"),
+])
+def test_model_check_unknown_name_is_an_error_document(capsys, tmp_path, section, entry, key):
+    doc = json.loads(resources.files("weilad").joinpath("data/instances/arrow.json").read_text())
+    doc[section][entry][key] = "nowhere"
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, ["model", "check", "--input", str(path), "--check", "slice-ccc"])
+    err = json.loads(out)
+    jsonschema.validate(err, SCHEMAS["error"])
+    assert code == 1 and err["error"] == "WeilError" and "nowhere" in err["message"]

@@ -184,3 +184,17 @@ def test_env_var_overrides_enumeration_bound(monkeypatch):
     f3 = inst.functor("F3")
     with pytest.raises(SizeLimit):
         list(enumerate_nat_trans(f3, f3))
+
+
+@pytest.mark.parametrize("env, explicit", [("abc", None), ("0", None), ("-3", None),
+                                           (None, -5), (None, 0), (None, "x")])
+def test_enumeration_bound_must_be_a_positive_integer(monkeypatch, env, explicit):
+    from weilad.errors import BadParameter
+    from weilad.fincat import resolve_max_enum
+
+    if env is None:
+        monkeypatch.delenv("WEILAD_MAX_ENUM", raising=False)
+    else:
+        monkeypatch.setenv("WEILAD_MAX_ENUM", env)
+    with pytest.raises(BadParameter):
+        resolve_max_enum(explicit)

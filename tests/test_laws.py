@@ -107,3 +107,20 @@ def test_report_invariants():
                 assert rep.max_abs_error == 0.0
     fin = run_law(LawInstance("L4", FINSET))
     assert fin.exact and fin.max_abs_error == 0.0 and not fin.witnesses
+
+
+@pytest.mark.parametrize("got, want, failures", [
+    ([float("nan")], [1.0], 1),
+    ([float("inf")], [1.0], 1),
+    ([1.0], [float("-inf")], 1),
+    ([float("nan")], [float("nan")], 1),
+    ([float("inf")], [float("-inf")], 1),
+    ([float("inf"), 2.0], [float("inf"), 2.0], 0),
+])
+def test_float_compare_never_passes_nan_or_a_lone_infinity(got, want, failures):
+    from weilad.laws import LawReport, _Acc
+
+    report = LawReport("L1", NUMERIC, scalars.FLOAT)
+    _Acc(report).compare(got, want, "w")
+    assert report.failures == failures
+    assert report.instances_run == 1

@@ -14,8 +14,13 @@ term); after that, composition and application are plain linear algebra.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
+import math
+import operator
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,6 +41,57 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 ONE = Fraction(1)
 
 
+class ProductTable(Mapping):
+    """The multiplication table of an algebra, stored once as sparse rows.
+
+    Row ``i`` lists, for every term ``c * basis[k]`` of ``basis[i] *
+    basis[j]``, the triple ``(j, k, c)``: ordered by ``j`` and, for one
+    ``j``, in term order; a product that vanishes has no entry.  Each row is
+    kept as one flat tuple ``(j0, k0, c0, j1, k1, c1, ...)``, so a cached
+    table holds one object per row, not one per product.  A coefficient
+    equal to 1 is always the shared ``ONE``, so the multiply kernel can skip
+    scaling by an identity test.  As a mapping the table is the read-only
+    dense view ``(i, j) -> ((k, c), ...)``, with ``()`` for a vanishing
+    product.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        """``rows[i]`` is the sequence of ``(j, k, c)`` triples of row ``i``."""
+        self.rows = tuple(tuple(x for triple in row for x in triple) for row in rows)
+
+    def __getitem__(self, key):
+        n = len(self.rows)
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(x, int) and 0 <= x < n for x in key)):
+            raise KeyError(key)
+        i, j = key
+        row = self.rows[i]
+        at = 3 * bisect.bisect_left(range(0, len(row), 3), j, key=row.__getitem__)
+        terms = []
+        while at < len(row) and row[at] == j:
+            terms.append(row[at + 1:at + 3])
+            at += 3
+        return tuple(terms)
+
+    def __iter__(self):
+        return itertools.product(range(len(self.rows)), repeat=2)
+
+    def __len__(self):
+        return len(self.rows) ** 2
+
+
+def _unit(c):
+    return ONE if c == 1 else c
+
+
+def _triples(row) -> list:
+    """The ``(j, k, c)`` triples of one flat table row."""
+    triples = iter(row)
+    return list(zip(triples, triples, triples))
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class WeilAlgebra:
     """A quotient k[g1..gn]/(monomial ideal) with finite monomial basis.
@@ -43,7 +99,9 @@ class WeilAlgebra:
     ``basis[0]`` is the unit monomial.  ``struct[(i, j)]`` lists the
     ``(k, coefficient)`` terms of ``basis[i] * basis[j]``; for monomial
     quotients there is at most one term and its coefficient is 1, but the
-    table deliberately supports general linear combinations.
+    table deliberately supports general linear combinations.  ``struct`` is
+    a read-only :class:`ProductTable`; any other mapping passed in (for
+    instance through ``dataclasses.replace``) is converted to one.
     """
 
     name: str
@@ -51,11 +109,20 @@ class WeilAlgebra:
     vanishing: tuple
     basis: tuple
     dim: int
-    struct: dict
+    struct: ProductTable
     nilpotency_index: int
     _index: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not isinstance(self.struct, ProductTable):
+            dense, n = self.struct, self.dim
+            rows = [[(j, k, _unit(c)) for j in range(n) for k, c in dense[(i, j)]]
+                    for i in range(n)]
+            object.__setattr__(self, "struct", ProductTable(rows))
+
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, WeilAlgebra):
             return NotImplemented
         return (
@@ -95,18 +162,18 @@ class WeilAlgebra:
         """
         zero = a[0] * 0
         out = [zero] * self.dim
-        struct = self.struct
-        for i, ai in enumerate(a):
+        for ai, row in zip(a, self.struct.rows):
             if not ai:
                 continue
-            for j, bj in enumerate(b):
+            triples = iter(row)
+            for j, k, c in zip(triples, triples, triples):
+                bj = b[j]
                 if not bj:
                     continue
-                for k, c in struct[(i, j)]:
-                    term = ai * bj
-                    if c != 1:
-                        term = c * term
-                    out[k] = out[k] + term
+                term = ai * bj
+                if c is not ONE:
+                    term = c * term
+                out[k] = out[k] + term
         return tuple(out)
 
     def is_zero_coeffs(self, a) -> bool:
@@ -167,13 +234,22 @@ class TensorProduct:
 # construction
 
 
+# How many recent presentations present_algebra keeps.  The law suite uses
+# six; a stream that mixes a few recurring presentations with new ones keeps
+# the recurring ones while fewer than this many others come between two uses.
+# The table of the dimension-256 mixed(3,3,3,3) holds 10 000 products.
+_PRESENTATION_CACHE_SIZE = 16
+
+
 def present_algebra(generator_names, vanishing_monomials, name=None) -> WeilAlgebra:
     """Build k[generators]/(vanishing monomials).
 
     The basis is every monomial not divisible by a vanishing monomial,
     ordered by total degree then lexicographically (earlier generators
     first).  Raises InfiniteDimension unless some pure power of each
-    generator vanishes.
+    generator vanishes.  Algebras are immutable, so a recently built
+    presentation (same generators, relations and name) comes back as the
+    same object.
     """
     gens = tuple(generator_names)
     seen = set()
@@ -192,8 +268,25 @@ def present_algebra(generator_names, vanishing_monomials, name=None) -> WeilAlge
             if not 0 <= i < len(gens):
                 raise BadParameter("relation mentions unknown generator index %d" % i)
 
+    if name is None:
+        name = "k[%s]" % ",".join(gens) if gens else "base"
+    return _build_algebra(gens, vanishing, name)
+
+
+@functools.lru_cache(maxsize=_PRESENTATION_CACHE_SIZE)
+def _build_algebra(gens, vanishing, name) -> WeilAlgebra:
+    """The algebra of a checked presentation, its table built from exponents.
+
+    Basis monomials are exponent vectors below the pure-power caps, numbered
+    in mixed radix (the last generator fastest), so a divisor's number
+    subtracts from a multiple's.  The basis is closed under divisors, and
+    basis[i] * basis[j] survives exactly when it is a basis monomial; so the
+    surviving products are the pairs (divisor, cofactor) of each basis
+    monomial, and only those are enumerated.
+    """
+    n = len(gens)
     caps = []
-    for i in range(len(gens)):
+    for i in range(n):
         powers = [e for v in vanishing for j, e in [v.pure_power() or (None, 0)] if j == i]
         if not powers:
             raise InfiniteDimension(
@@ -201,40 +294,34 @@ def present_algebra(generator_names, vanishing_monomials, name=None) -> WeilAlge
             )
         caps.append(min(powers))
 
-    basis = []
-    for exps in itertools.product(*(range(c) for c in caps)):
-        m = Monomial.of(list(enumerate(exps)))
-        if not any(v.divides(m) for v in vanishing):
-            basis.append(m)
-    basis.sort(key=lambda m: m.sort_key(len(gens)))
-    basis = tuple(basis)
-    assert basis and basis[0].is_unit()
+    dense_vanishing = [tuple(v.exponent(i) for i in range(n)) for v in vanishing]
+    codes = {}
+    for code, exps in enumerate(itertools.product(*(range(c) for c in caps))):
+        if not any(all(e >= f for e, f in zip(exps, v)) for v in dense_vanishing):
+            codes[exps] = code
+    ordered = sorted(codes, key=lambda exps: (sum(exps), tuple(-e for e in exps)))
+    assert ordered and not any(ordered[0])
+    index_of_code = {codes[exps]: i for i, exps in enumerate(ordered)}
 
-    index = {m: i for i, m in enumerate(basis)}
-    struct = {}
-    for i, mi in enumerate(basis):
-        for j, mj in enumerate(basis):
-            if j < i:
-                struct[(i, j)] = struct[(j, i)]
-                continue
-            prod = mi * mj
-            if any(v.divides(prod) for v in vanishing):
-                struct[(i, j)] = ()
-            else:
-                struct[(i, j)] = ((index[prod], ONE),)
+    strides = [math.prod(caps[i + 1:]) for i in range(n)]
+    rows = [[] for _ in ordered]
+    for k, exps in enumerate(ordered):
+        code = codes[exps]
+        steps = (range(0, (e + 1) * s, s) for e, s in zip(exps, strides))
+        for parts in itertools.product(*steps):
+            divisor = sum(parts)
+            rows[index_of_code[divisor]].append((index_of_code[code - divisor], k, ONE))
 
-    nilpotency = max(m.degree for m in basis) + 1
-    if name is None:
-        name = "k[%s]" % ",".join(gens) if gens else "base"
+    basis = tuple(Monomial(tuple((i, e) for i, e in enumerate(exps) if e)) for exps in ordered)
     return WeilAlgebra(
         name=name,
         generator_names=gens,
         vanishing=vanishing,
         basis=basis,
         dim=len(basis),
-        struct=struct,
-        nilpotency_index=nilpotency,
-        _index=index,
+        struct=ProductTable(sorted(row) for row in rows),
+        nilpotency_index=max(sum(exps) for exps in ordered) + 1,
+        _index={m: i for i, m in enumerate(basis)},
     )
 
 
@@ -307,16 +394,19 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra) -> TensorProduct:
     index = {m: i for i, m in enumerate(basis)}
     d2 = w2.dim
 
-    struct = {}
-    for p in range(len(basis)):
-        i1, j1 = divmod(p, d2)
-        for q in range(len(basis)):
-            i2, j2 = divmod(q, d2)
-            terms = []
-            for k1, c1 in w1.struct[(i1, i2)]:
-                for k2, c2 in w2.struct[(j1, j2)]:
-                    terms.append((pair_index(k1, k2, d2), c1 * c2))
-            struct[(p, q)] = tuple(terms)
+    triples1 = [_triples(row) for row in w1.struct.rows]
+    triples2 = [_triples(row) for row in w2.struct.rows]
+    rows = []
+    for row1 in triples1:
+        for row2 in triples2:
+            terms = [
+                (pair_index(j1, j2, d2), pair_index(k1, k2, d2),
+                 ONE if c1 is ONE and c2 is ONE else _unit(c1 * c2))
+                for j1, k1, c1 in row1 for j2, k2, c2 in row2
+            ]
+            # Stable: the terms of one product keep the factors' term order.
+            terms.sort(key=operator.itemgetter(0))
+            rows.append(terms)
 
     algebra = WeilAlgebra(
         name="%s(x)%s" % (w1.name, w2.name),
@@ -324,7 +414,7 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra) -> TensorProduct:
         vanishing=vanishing,
         basis=basis,
         dim=w1.dim * w2.dim,
-        struct=struct,
+        struct=ProductTable(rows),
         nilpotency_index=w1.nilpotency_index + w2.nilpotency_index - 1,
         _index=index,
     )

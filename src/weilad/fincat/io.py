@@ -189,7 +189,10 @@ def load_instance(doc: dict, validate: bool = True) -> Instance:
     )
 
     inst = Instance(name=name, cat=cat, roles=doc.get("roles", {}))
-    reports = [validate_category(cat)] if validate else []
+    reports = []
+    if validate:
+        # Every other validator assumes a valid category.
+        _raise_failures(name, [validate_category(cat)])
 
     for fname, body in doc.get("functors", {}).items():
         f = FinFunctor(
@@ -258,17 +261,19 @@ def load_instance(doc: dict, validate: bool = True) -> Instance:
         if validate:
             reports.append(validate_sliced(s, sname))
 
-    if validate:
-        failed = [rep for rep in reports if not rep.passed]
-        if failed:
-            lines = []
-            for rep in failed:
-                for c in rep.failures():
-                    lines.append("%s: %s (witness: %r)" % (rep.title, c.name, c.witness))
-            raise WeilError("instance %s failed validation:\n%s" % (name, "\n".join(lines)))
-
+    _raise_failures(name, reports)
     inst.resolved = _resolve_roles(inst)
     return inst
+
+
+def _raise_failures(name, reports) -> None:
+    failed = [rep for rep in reports if not rep.passed]
+    if failed:
+        lines = []
+        for rep in failed:
+            for c in rep.failures():
+                lines.append("%s: %s (witness: %r)" % (rep.title, c.name, c.witness))
+        raise WeilError("instance %s failed validation:\n%s" % (name, "\n".join(lines)))
 
 
 def load_instance_file(path, validate: bool = True) -> Instance:

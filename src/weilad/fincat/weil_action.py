@@ -325,6 +325,11 @@ def localization_check(g: EndofunctorData, a: SlicedObject, r: FinFunctor,
     if second is None:
         second = (g, identity_nat_family(g.functor))
     g2, eta = second
+    # Fact 3 transports along eta, so an invalid family fails it; a valid
+    # one adds no checks, which keeps passing reports as they were.
+    connecting = validate_connecting(eta, g, g2)
+    if not connecting.passed:
+        rep.merge(connecting)
 
     fp_aa, proj1, _ = fibered_product(a, a)
     instances = [
@@ -353,6 +358,10 @@ def localization_check(g: EndofunctorData, a: SlicedObject, r: FinFunctor,
             if lhs_actions[ar.name] != rhs.total.map(ar.name)
         ))
 
+        fact3 = "fact 3 (instance %d): induced transformations agree" % idx
+        if not connecting.passed:
+            rep.add(fact3, False, {"skipped": "connecting family invalid"})
+            continue
         alpha_base, _, _ = sliced_alpha(g, g2, eta, flat)
         lhs_sets2, _, _ = _iterated_sliced_T(g2, a, inst)
 
@@ -366,7 +375,7 @@ def localization_check(g: EndofunctorData, a: SlicedObject, r: FinFunctor,
                 elif table != alpha_base.components[v]:
                     yield {"object": v}
 
-        rep.add_first("fact 3 (instance %d): induced transformations agree" % idx, alpha_faults())
+        rep.add_first(fact3, alpha_faults())
 
     lr, _, _ = product(l, r)
     lr_sliced = SlicedObject(

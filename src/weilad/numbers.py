@@ -118,12 +118,7 @@ class WeilNumber:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return invert(self) ** (-n)
-        out = self.ring_one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n)
 
     def scale(self, s) -> "WeilNumber":
         """Multiply every coefficient by a coefficient-level scalar.
@@ -243,6 +238,23 @@ def invert(x: WeilNumber) -> WeilNumber:
         term = term * t
         acc = acc + term
     return acc.scale(inv_a)
+
+
+def power(a, n: int):
+    """a**n for a unit element or a scalar, by square-and-multiply.
+
+    Takes O(log |n|) multiplications; a negative ``n`` inverts ``a`` first.
+    """
+    if n < 0:
+        return power(reciprocal(a), -n)
+    out = one_like(a)
+    while n:
+        if n & 1:
+            out = out * a
+        n >>= 1
+        if n:
+            a = a * a
+    return out
 
 
 def reciprocal(a):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import scalars
 from .errors import DomainError, UnsupportedInRationalMode
-from .numbers import WeilNumber, one_like, reciprocal, scalar_like, zero_like
+from .numbers import WeilNumber, power, reciprocal, scalar_like, zero_like
 
 
 class Primitive:
@@ -88,15 +88,6 @@ def _value(p: Primitive, a, *params):
     if isinstance(a, WeilNumber):
         return apply_primitive(p, a, *params)
     return p.scalar_value(a, *params)
-
-
-def _ipow(a, n: int):
-    if n < 0:
-        return _ipow(reciprocal(a), -n)
-    out = one_like(a)
-    for _ in range(n):
-        out = out * a
-    return out
 
 
 def _add_const(v, c: int):
@@ -331,7 +322,7 @@ class _PowInt(Primitive):
             if falling == 0:
                 out.append(zero_like(a))
                 continue
-            out.append(_scale(_ipow(a, n - i), Fraction(falling)))
+            out.append(_scale(power(a, n - i), Fraction(falling)))
         return out
 
 

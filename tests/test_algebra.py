@@ -1,9 +1,11 @@
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from weilad import algebra
 from weilad.algebra import (
     algebra_from_spec,
     base_algebra,
@@ -16,8 +18,10 @@ from weilad.algebra import (
     validate_algebra,
     validate_morphism,
 )
-from weilad.corpus import algebra_family
+from weilad.corpus import algebra_family, tensor_pairs
 from weilad.errors import BadParameter, DuplicateGenerator, InfiniteDimension
+from weilad.expr import parse_smooth_map
+from weilad.functor import partials
 from weilad.monomial import Monomial
 
 
@@ -174,3 +178,127 @@ def test_spec_file_input(tmp_path):
     path.write_text("algebra filedemo\ngens t\nrel t^3\n")
     w = algebra_from_spec(str(path))
     assert w.dim == 3 and w.generator_names == ("t",)
+
+
+# -- the sparse product table ------------------------------------------------
+
+
+def first_principles_product(w, a, b):
+    """Product of coefficient vectors from Monomial products and basis lookup."""
+    out = [Fraction(0)] * w.dim
+    for (m, x), (n, y) in itertools.product(zip(w.basis, a), zip(w.basis, b)):
+        k = w.basis_index(m * n)
+        if k is not None:
+            out[k] += x * y
+    return tuple(out)
+
+
+def dense_table(w):
+    """The dense (i, j) -> terms table, built pair by pair from Monomial products."""
+    table = {}
+    for (i, m), (j, n) in itertools.product(enumerate(w.basis), repeat=2):
+        prod = m * n
+        dead = any(v.divides(prod) for v in w.vanishing)
+        table[(i, j)] = () if dead else ((w.basis_index(prod), Fraction(1)),)
+    return table
+
+
+def dense_loop_product(table, a, b):
+    """The multiply loop over a dense (i, j) -> terms table."""
+    out = [a[0] * 0] * len(a)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if not bj:
+                continue
+            for k, c in table[(i, j)]:
+                term = ai * bj
+                if c != 1:
+                    term = c * term
+                out[k] = out[k] + term
+    return tuple(out)
+
+
+def random_vector(rng, dim):
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.7
+                 else Fraction(0) for _ in range(dim))
+
+
+TABLE_ALGEBRAS = (
+    list(algebra_family())
+    + [tensor(w1, w2).algebra for w1, w2 in tensor_pairs()]
+    + [mixed_algebra(*orders) for orders in [(3, 3), (2, 2, 2), (3, 2, 1, 1), (4, 4, 3)]]
+)
+
+
+@pytest.mark.parametrize("w", TABLE_ALGEBRAS, ids=lambda w: w.name)
+def test_mul_coeffs_matches_first_principles_products(w):
+    rng = random.Random(w.dim)
+    for _ in range(4):
+        a, b = random_vector(rng, w.dim), random_vector(rng, w.dim)
+        assert w.mul_coeffs(a, b) == first_principles_product(w, a, b)
+
+
+@pytest.mark.parametrize("w", TABLE_ALGEBRAS, ids=lambda w: w.name)
+def test_struct_view_is_the_dense_table(w):
+    want = dense_table(w)
+    assert dict(w.struct) == want
+    assert list(w.struct) == list(want)
+    assert len(w.struct) == w.dim * w.dim
+
+
+def test_hand_built_table_multiplies_like_the_dense_loop():
+    w = jet_algebra(2)
+    table = dict(w.struct)
+    table[(1, 1)] = ((2, Fraction(2)),)
+    table[(1, 2)] = ((1, Fraction(1, 3)), (2, Fraction(-1)))
+    table[(2, 1)] = ((0, Fraction(1)),)
+    bad = replace(w, struct=table)
+    assert dict(bad.struct) == table
+    assert bad.struct[(1, 2)] == ((1, Fraction(1, 3)), (2, Fraction(-1)))
+    rng = random.Random(7)
+    for _ in range(10):
+        a, b = random_vector(rng, 3), random_vector(rng, 3)
+        assert bad.mul_coeffs(a, b) == dense_loop_product(table, a, b)
+        fa, fb = tuple(map(float, a)), tuple(map(float, b))
+        assert bad.mul_coeffs(fa, fb) == dense_loop_product(table, fa, fb)
+    # the cached original keeps its own table
+    assert w.mul_coeffs((0, 1, 0), (0, 1, 0)) == (0, 0, 1)
+
+
+def test_struct_is_read_only():
+    w = jet_algebra(2)
+    with pytest.raises(TypeError):
+        w.struct[(1, 1)] = ()
+    with pytest.raises(KeyError):
+        w.struct[(0, 3)]
+    assert (2, 2) in w.struct and (3, 0) not in w.struct
+
+
+def test_equality_ignores_the_table():
+    w = jet_algebra(3)
+    table = dict(w.struct)
+    table[(1, 1)] = ()
+    corrupt = replace(w, struct=table)
+    assert corrupt is not w and corrupt == w and w == w
+
+
+def test_repeated_presentations_are_one_object():
+    assert jet_algebra(5) is jet_algebra(5)
+    assert mixed_algebra(2, 1, 3) is mixed_algebra(2, 1, 3)
+    assert dual_algebra(2) is dual_algebra(2)
+    assert base_algebra() is base_algebra()
+    f = parse_smooth_map("x*y", ["x", "y"])
+    assert partials(f, (1, 2), (2, 3)).algebra is partials(f, (3, 1), (2, 3)).algebra
+
+
+def test_presentation_cache_is_bounded():
+    relation = [Monomial.of([(0, 2)])]
+    first = present_algebra(("x",), relation, name="probe0")
+    assert present_algebra(("x",), relation, name="probe0") is first
+    size = algebra._PRESENTATION_CACHE_SIZE
+    for n in range(1, size + 1):
+        present_algebra(("x",), relation, name="probe%d" % n)
+    assert algebra._build_algebra.cache_info().currsize <= size
+    assert present_algebra(("x",), relation, name="probe0") is not first

@@ -259,3 +259,15 @@ def test_model_check_unknown_name_is_an_error_document(capsys, tmp_path, section
     err = json.loads(out)
     jsonschema.validate(err, SCHEMAS["error"])
     assert code == 1 and err["error"] == "WeilError" and "nowhere" in err["message"]
+
+
+def test_model_check_invalid_category_is_an_error_document(capsys, tmp_path):
+    doc = json.loads(resources.files("weilad").joinpath("data/instances/arrow.json").read_text())
+    doc["identities"]["a"] = "zz"
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, ["model", "check", "--input", str(path), "--check", "ccc"])
+    err = json.loads(out)
+    jsonschema.validate(err, SCHEMAS["error"])
+    assert code == 1 and err["error"] == "WeilError"
+    assert "every object has an identity" in err["message"]

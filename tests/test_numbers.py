@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from weilad.errors import (
     ScalarModeMismatch,
     UnsupportedInRationalMode,
 )
-from weilad.numbers import constant, invert, number, push_along, variable
+from weilad.expr import parse_smooth_map
+from weilad.functor import jet
+from weilad.numbers import constant, invert, number, power, push_along, variable
 from weilad.primitives import (
     ATAN,
     COS,
@@ -169,6 +172,29 @@ def test_negative_power_is_inverse_power():
     x = number(J2, [Fraction(2), Fraction(1), Fraction(0)])
     assert x ** -2 == invert(x) ** 2
     assert apply_primitive(POW_INT, x, -2) == x ** -2
+
+
+def test_square_and_multiply_equals_the_repeated_product():
+    x = number(J2, [Fraction(3, 2), Fraction(-1), Fraction(2, 7)])
+    a = Fraction(-5, 3)
+    product, scalar = constant(J2, 1), Fraction(1)
+    for n in range(21):
+        assert x ** n == product and power(a, n) == scalar
+        assert apply_primitive(POW_INT, x, n) == product
+        product, scalar = product * x, scalar * a
+    inverse, product = invert(x), constant(J2, 1)
+    for n in range(1, 8):
+        product = product * inverse
+        assert x ** -n == product and power(a, -n) == Fraction(1) / a ** n
+        assert apply_primitive(POW_INT, x, -n) == product
+
+
+def test_huge_integer_power_is_fast():
+    f = parse_smooth_map("x^3000000", ["x"])
+    start = time.perf_counter()
+    table = jet(f, Fraction(1), 2)
+    assert time.perf_counter() - start < 1.0
+    assert [table.derivative((k,))[0] for k in range(3)] == [1, 3000000, 3000000 * 2999999]
 
 
 # -- pushforward -----------------------------------------------------------

@@ -159,6 +159,16 @@ def test_localization_roles_pass(inst_name):
         assert rep.passed, (inst_name, cfg, [(c.name, c.witness) for c in rep.failures()])
 
 
+def test_localization_reports_an_invalid_connecting_family():
+    inst = bundled_instance("iso")
+    # collapse runs from swap to id, not from id to id
+    rep = localization_check(inst.endo("id"), inst.sliced_obj("B"), inst.functor("F2"),
+                             (inst.endo("id"), inst.family("collapse")))
+    failed = [c.name for c in rep.failures()]
+    assert any(name.startswith("connecting family collapse: ") for name in failed)
+    assert "fact 3 (instance 0): induced transformations agree" in failed
+
+
 def test_size_limit_propagates():
     inst = bundled_instance("iso")
     with pytest.raises(SizeLimit):

@@ -376,13 +376,34 @@ def pair_index(i: int, j: int, dim2: int) -> int:
     return i * dim2 + j
 
 
+# How many recent factor pairs tensor keeps.  The cache is keyed by the
+# identity of the factors, never by their value: a copy with a corrupted
+# table compares equal to the original and must get its own product.  Each
+# entry holds its factors, so their ids are not reused while it is cached.
+_TENSOR_CACHE_SIZE = 16
+_tensor_cache: dict = {}
+
+
 def tensor(w1: WeilAlgebra, w2: WeilAlgebra) -> TensorProduct:
     """Tensor product with basis the ordered pairs of bases.
 
     Pair (i, j) sits at index ``i * dim2 + j``, so index 0 is the unit.
     Generators are renamed with _1/_2 suffixes to keep them distinct.  The
     two inclusions w -> w (x) 1 and w -> 1 (x) w come back as morphisms.
+    The same two factor objects give the same product object while the pair
+    is among the most recently used.
     """
+    key = (id(w1), id(w2))
+    entry = _tensor_cache.pop(key, None)
+    if entry is None:
+        entry = (w1, w2, _build_tensor(w1, w2))
+        if len(_tensor_cache) >= _TENSOR_CACHE_SIZE:
+            del _tensor_cache[next(iter(_tensor_cache))]
+    _tensor_cache[key] = entry
+    return entry[2]
+
+
+def _build_tensor(w1: WeilAlgebra, w2: WeilAlgebra) -> TensorProduct:
     offset = len(w1.generator_names)
     gens = tuple(g + "_1" for g in w1.generator_names) + tuple(
         g + "_2" for g in w2.generator_names

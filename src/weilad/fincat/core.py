@@ -332,7 +332,7 @@ def compose_nat_trans(t2: FinNatTrans, t1: FinNatTrans) -> FinNatTrans:
     return FinNatTrans(t1.source, t2.target, comps, "%s.%s" % (t2.name, t1.name))
 
 
-def enumerate_nat_trans(f: FinFunctor, g: FinFunctor, max_enum=None):
+def enumerate_nat_trans(f: FinFunctor, g: FinFunctor, max_enum=None, choices=None):
     """All natural transformations f => g, by backtracking over objects.
 
     The raw candidate count (product over objects of |g(c)|^|f(c)|) is
@@ -340,6 +340,13 @@ def enumerate_nat_trans(f: FinFunctor, g: FinFunctor, max_enum=None):
     truncating.  While extending, components already assigned force values
     at the next object along incoming arrows, which prunes the search hard
     when actions are surjective.
+
+    ``choices`` narrows the search: it maps each object c to a dict sending
+    every x in f(c) to the tuple of values its image may take, a subsequence
+    of g(c).  A forced value outside its choices cuts the branch.  The
+    transformations found are those of the unrestricted search whose
+    components stay within the choices, in the same order; the bound still
+    counts the raw space.
     """
     bound = resolve_max_enum(max_enum)
     cat = f.cat
@@ -373,7 +380,14 @@ def enumerate_nat_trans(f: FinFunctor, g: FinFunctor, max_enum=None):
                 if forced.setdefault(key, val) != val:
                     return
         free = [x for x in f.at(c) if x not in forced]
-        for images in itertools.product(g.at(c), repeat=len(free)):
+        if choices is None:
+            pools = [g.at(c)] * len(free)
+        else:
+            allowed = choices[c]
+            if any(val not in allowed[x] for x, val in forced.items()):
+                return
+            pools = [allowed[x] for x in free]
+        for images in itertools.product(*pools):
             comp = dict(forced)
             comp.update(zip(free, images))
             yield comp
@@ -595,6 +609,10 @@ def is_slice_morphism(t: FinNatTrans, a: SlicedObject, b: SlicedObject) -> bool:
 
 
 def enumerate_slice_morphisms(a: SlicedObject, b: SlicedObject, max_enum=None):
-    for t in enumerate_nat_trans(a.total, b.total, max_enum):
-        if is_slice_morphism(t, a, b):
-            yield t
+    """Slice morphisms a -> b: the search runs inside the fibers of b over a's base points."""
+    choices = {}
+    for c in a.total.cat.objects:
+        points = {x: a.point(c, x) for x in a.total.at(c)}
+        fibers = {pt: b.fiber(c, pt) for pt in set(points.values())}
+        choices[c] = {x: fibers[pt] for x, pt in points.items()}
+    yield from enumerate_nat_trans(a.total, b.total, max_enum, choices)

@@ -188,16 +188,17 @@ def verify_ccc(m, n, probes, probe_morphisms=(), max_enum=None) -> Report:
             "hom_curried": len(hom_curried),
             "bijective": len(canon_a) == len(hom_uncurried) and canon_a == canon_b,
         }
-        curried_by_probe[id(p)] = (p, pn, hom_uncurried)
+        curried_by_probe[id(p)] = (hom_uncurried, curried)
 
     for ui, u in enumerate(probe_morphisms):
         src, tgt = u.source, u.target
         if id(tgt) not in curried_by_probe:
             continue
-        _, _, hom_tgt = curried_by_probe[id(tgt)]
+        hom_tgt, curried_tgt = curried_by_probe[id(tgt)]
 
         def unnatural():
-            for t in hom_tgt:
+            pn_src, _, _ = product(src, n)
+            for t, curried_t in zip(hom_tgt, curried_tgt):
                 pulled_comps = {
                     c: {
                         (x, y): t.apply(c, (u.apply(c, x), y))
@@ -206,10 +207,9 @@ def verify_ccc(m, n, probes, probe_morphisms=(), max_enum=None) -> Report:
                     }
                     for c in m.cat.objects
                 }
-                pn_src, _, _ = product(src, n)
                 pulled = FinNatTrans(pn_src, m, pulled_comps)
                 left = curry_transform(pulled, src, n, exp).canonical()
-                right = _compose_then_canonical(curry_transform(t, tgt, n, exp), u)
+                right = _compose_then_canonical(curried_t, u)
                 if left != right:
                     yield {"probe_morphism": ui, "transform": t.canonical()}
 

@@ -47,7 +47,7 @@ def apply_primitive(p: Primitive, x, *params):
     """
     if not isinstance(x, WeilNumber):
         _check_scalar(p, x, *params)
-        return p.scalar_value(x, *params)
+        return _scalar_value(p, x, *params)
 
     a = x.augmentation
     if not isinstance(a, WeilNumber):
@@ -78,6 +78,14 @@ def _check_scalar(p: Primitive, a, *params):
     p.check_domain(a, *params)
 
 
+def _scalar_value(p: Primitive, a, *params):
+    """``p`` at a scalar; a math range or domain error becomes a DomainError."""
+    try:
+        return p.scalar_value(a, *params)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError("%s has no finite value at %s (%s)" % (p.name, a, exc)) from None
+
+
 def _scale(value, frac: Fraction):
     if isinstance(value, WeilNumber):
         return value.scale(frac)
@@ -87,7 +95,7 @@ def _scale(value, frac: Fraction):
 def _value(p: Primitive, a, *params):
     if isinstance(a, WeilNumber):
         return apply_primitive(p, a, *params)
-    return p.scalar_value(a, *params)
+    return _scalar_value(p, a, *params)
 
 
 def _add_const(v, c: int):

@@ -302,3 +302,32 @@ def test_presentation_cache_is_bounded():
         present_algebra(("x",), relation, name="probe%d" % n)
     assert algebra._build_algebra.cache_info().currsize <= size
     assert present_algebra(("x",), relation, name="probe0") is not first
+
+
+def test_repeated_tensor_factors_give_one_product():
+    a, b = jet_algebra(2), dual_algebra(1)
+    assert tensor(a, b) is tensor(a, b)
+    assert tensor(b, a) is not tensor(a, b)
+
+
+def test_tensor_of_a_corrupted_copy_gets_its_own_table():
+    w, d = jet_algebra(3), dual_algebra(1)
+    table = dict(w.struct)
+    table[(1, 1)] = ()
+    corrupt = replace(w, struct=table)
+    assert corrupt == w
+    good, bad = tensor(w, d).algebra, tensor(corrupt, d).algebra
+    assert dict(good.struct) == dict(algebra._build_tensor(w, d).algebra.struct)
+    assert dict(bad.struct) == dict(algebra._build_tensor(corrupt, d).algebra.struct)
+    assert dict(bad.struct) != dict(good.struct)
+    assert not validate_algebra(bad).passed and validate_algebra(good).passed
+
+
+def test_tensor_cache_is_bounded():
+    j, d = jet_algebra(2), dual_algebra(1)
+    first = tensor(j, d)
+    size = algebra._TENSOR_CACHE_SIZE
+    for n in range(1, size + 1):
+        tensor(present_algebra(("x",), [Monomial.of([(0, 2)])], name="t%d" % n), d)
+    assert len(algebra._tensor_cache) <= size
+    assert tensor(j, d) is not first

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -106,6 +107,14 @@ def test_jet_rational_mode(capsys):
                              "--scalar", "rational", "--normalization", "raw"])
     doc = json.loads(out)
     assert code == 0 and doc["values"] == ["8", "12", "6"]
+
+
+def test_jet_overflow_is_an_error_document(capsys):
+    code, out = run(capsys, ["jet", "--fn", "exp(x)", "--at", "800", "--order", "2"])
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMAS["error"])
+    assert code == 1 and doc["error"] == "DomainError"
+    assert "exp" in doc["message"] and "800" in doc["message"]
 
 
 def test_partials_command(capsys):
@@ -271,3 +280,44 @@ def test_model_check_invalid_category_is_an_error_document(capsys, tmp_path):
     jsonschema.validate(err, SCHEMAS["error"])
     assert code == 1 and err["error"] == "WeilError"
     assert "every object has an identity" in err["message"]
+
+
+# sha256 of the stdout of runs whose output is fixed; each exits with 0.  A
+# change to a search, a report or the arithmetic that alters a count, a
+# witness or an order fails here.
+LAWS_RATIONAL_SEED_0 = "f2b538af220682ae6751b1d68c77ac25b57b34df7be05875674c4ded0f43f599"
+MODEL_CHECK_DIGESTS = {
+    ("terminal", "ccc"): "9fff58088286a64fe09236f42331863776af77cbb4578498368a1462685d0262",
+    ("terminal", "slice-ccc"): "bc80885456b74b6028eaea896654d100476c360c57fb58df488a304fa692cb95",
+    ("terminal", "exp-compat"): "7600ab62c6af1ca95e6cedb1a3fdb882ae51e7dfcd22fb60504edb9e3454ec91",
+    ("terminal", "localization"): "9fe6ac282fd66b6e5e3d85d5a505e29816fb36a954ecbccb760c0cd6a78d75be",
+    ("arrow", "ccc"): "6f916ede56bf7b2c790d02cbb7dbb6142e0e2d978c5079bfddc55daa75da476f",
+    ("arrow", "slice-ccc"): "e6bc055c6454590bec5f9a12d1e65a5901b4a7f120f80aa6f1b40f4b81c1c159",
+    ("arrow", "exp-compat"): "486abc498ce91c89f22c53c4aca9ec75f54f4a45a4175d2128a17d060cca18e5",
+    ("arrow", "localization"): "f49bf1a2bf0c11328772e6581368f91ba881de8c9e31a10d46758f684aab3aca",
+    ("iso", "ccc"): "c396e06ca0336a1271e8b166d87e87c4f9f590bc61eda0211cbd4cb1b8c3985e",
+    ("iso", "slice-ccc"): "11c567343cba31519f8bb613b5fd5fdd404542d50e3cf90e79938e0354c96903",
+    ("iso", "exp-compat"): "fa6769f0ee00cd07bb8026b4efb55b554ddc12827c330c69dbd7d2f0880bf503",
+    ("iso", "localization"): "e29ae2b9c470a221d81261de5386403f5d9b67b74898868da11852180fc5845d",
+    ("idem", "ccc"): "01bf1a485ce4b2c47c9f403579878d5be660d92a29bd712a3706d8c57ab3b1be",
+    ("idem", "slice-ccc"): "e886ee2c66c940f75c79c2ff194f6748da7f9dbb0598c86f6909df272cb1a3ec",
+    ("idem", "exp-compat"): "b69b7143b8b1cf7a7f1641a492a448107565cf31c27afec008d876d144b52e74",
+    ("idem", "localization"): "7586996a61b5002ac0f1898d1268c8acec764a647d5683de06625764a44e40b8",
+}
+
+
+def digest_of_run(capsys, argv):
+    code, out = run(capsys, argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_laws_run_output_is_pinned(capsys):
+    got = digest_of_run(capsys, ["laws", "run", "--scalar", "rational", "--seed", "0"])
+    assert got == (0, LAWS_RATIONAL_SEED_0)
+
+
+@pytest.mark.parametrize("instance, check", sorted(MODEL_CHECK_DIGESTS))
+def test_model_check_output_is_pinned(capsys, instance, check):
+    path = resources.files("weilad").joinpath("data/instances/%s.json" % instance)
+    got = digest_of_run(capsys, ["model", "check", "--input", str(path), "--check", check])
+    assert got == (0, MODEL_CHECK_DIGESTS[instance, check])

@@ -15,6 +15,9 @@ from weilad.fincat import (
     FinFunctor,
     FinNatTrans,
     SlicedObject,
+    enumerate_nat_trans,
+    enumerate_slice_morphisms,
+    is_slice_morphism,
     slice_exponential,
     validate_functor,
     validate_nat_trans,
@@ -110,6 +113,24 @@ def test_slice_currying_on_random_sliced_objects(inst_name, seed):
         rep = verify_slice_ccc(base, a, b, [probe])
         assert rep.passed, (inst_name, seed, a.name, b.name,
                             [c.name for c in rep.failures()])
+
+
+@pytest.mark.parametrize("inst_name", ["terminal", "arrow", "iso", "idem"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fiber_search_matches_filter_on_random_sliced_objects(inst_name, seed):
+    # Unvalidated structures too: a non-natural one forces values outside their fibers.
+    inst = bundled_instance(inst_name)
+    base = inst.functor(inst.roles["slice_ccc"]["base"])
+    rng = random.Random((inst_name, "fiber-search", seed).__repr__())
+    objs = [random_sliced(inst.cat, rng, base, "S%d" % i) for i in range(3)]
+    natural = _natural_structure(inst.cat, rng, base, "N")
+    if natural is not None:
+        objs.append(natural)
+    for a, b in itertools.product(objs, repeat=2):
+        got = [t.canonical() for t in enumerate_slice_morphisms(a, b)]
+        want = [t.canonical() for t in enumerate_nat_trans(a.total, b.total)
+                if is_slice_morphism(t, a, b)]
+        assert got == want, (inst_name, seed, a.name, b.name)
 
 
 def slice_family_oracle(l, a, b, w, point):

@@ -168,6 +168,17 @@ def test_domain_errors():
         apply_primitive(RECIP, number(D, [0, 1]))
 
 
+def test_scalar_overflow_is_a_domain_error_naming_the_primitive():
+    with pytest.raises(DomainError, match="exp .*800"):
+        apply_primitive(EXP, variable(D, 0, 800.0))
+    with pytest.raises(DomainError, match="exp .*800"):
+        apply_primitive(EXP, 800.0)
+    with pytest.raises(DomainError, match="sin .*inf"):
+        apply_primitive(SIN, variable(D, 0, math.inf))
+    with pytest.raises(DomainError, match="exp .*800"):
+        jet(parse_smooth_map("exp(x)", ["x"]), 800.0, 2)
+
+
 def test_negative_power_is_inverse_power():
     x = number(J2, [Fraction(2), Fraction(1), Fraction(0)])
     assert x ** -2 == invert(x) ** 2

@@ -1,12 +1,20 @@
+import itertools
+import math
+
+import pytest
+
 from weilad.corpus import bundled_instance
+from weilad.errors import SizeLimit
 from weilad.fincat import (
     FinFunctor,
     FinNatTrans,
     IteratedSliceObject,
     SlicedObject,
+    enumerate_nat_trans,
     enumerate_slice_morphisms,
     equal_functors,
     exponential,
+    fibered_product,
     flatten_from,
     flatten_to,
     is_iterated_object,
@@ -103,6 +111,41 @@ def test_non_slice_morphism_is_excluded_from_hom_sets():
                            {"a": {"p0": "c0", "p1": "c1"}, "b": {"q0": "d0", "q1": "d1"}})
     assert is_slice_morphism(straight, p, b)
     assert straight.canonical() in homs
+
+
+def filtered_slice_morphisms(a, b):
+    """The definition: every transformation of the totals that commutes with the structures."""
+    return [t.canonical() for t in enumerate_nat_trans(a.total, b.total)
+            if is_slice_morphism(t, a, b)]
+
+
+def sliced_objects(inst):
+    """The instance's sliced objects and two built from them over the same base."""
+    a, b = inst.sliced_obj("A"), inst.sliced_obj("B")
+    fp, _, _ = fibered_product(a, b)
+    return list(inst.sliced.values()) + [fp, slice_exponential(a.base, b, b)]
+
+
+@pytest.mark.parametrize("name", ["terminal", "arrow", "iso", "idem"])
+def test_fiber_search_yields_the_filtered_enumeration_in_order(name):
+    inst = bundled_instance(name)
+    cut = 0
+    for a, b in itertools.product(sliced_objects(inst), repeat=2):
+        got = [t.canonical() for t in enumerate_slice_morphisms(a, b)]
+        want = filtered_slice_morphisms(a, b)
+        assert got == want, (name, a.name, b.name)
+        cut += len(list(enumerate_nat_trans(a.total, b.total))) - len(want)
+    assert cut > 0
+
+
+def test_slice_search_bound_counts_the_raw_space():
+    inst = bundled_instance("iso")
+    a, b = inst.sliced_obj("A"), inst.sliced_obj("B")
+    space = math.prod(len(b.total.at(c)) ** len(a.total.at(c)) for c in inst.cat.objects)
+    homs = list(enumerate_slice_morphisms(a, b, max_enum=space))
+    assert 0 < len(homs) < space
+    with pytest.raises(SizeLimit, match="search space %d exceeds bound %d" % (space, space - 1)):
+        next(enumerate_slice_morphisms(a, b, max_enum=space - 1))
 
 
 # -- the compatible-part functor --------------------------------------------

@@ -39,6 +39,7 @@ from .report import Report
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 ONE = Fraction(1)
+ZERO = Fraction(0)
 
 
 class ProductTable(Mapping):
@@ -55,11 +56,35 @@ class ProductTable(Mapping):
     product.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_exact")
 
     def __init__(self, rows):
         """``rows[i]`` is the sequence of ``(j, k, c)`` triples of row ``i``."""
         self.rows = tuple(tuple(x for triple in row for x in triple) for row in rows)
+        self._exact = False
+
+    def exact_rows(self):
+        """The rows over integers and their common denominator, or ``None``.
+
+        Returns ``(rows, d)``: ``rows`` is laid out like :attr:`rows`, with
+        each coefficient ``c`` replaced by the integer ``c * d`` (by ``ONE``
+        where that is 1, so the kernel's identity test still skips it).  A
+        table whose coefficients are all ``ONE`` gives back its own rows.
+        ``None`` when some coefficient is not an ``int`` or ``Fraction``.
+        Computed on first use and kept.
+        """
+        if self._exact is False:
+            coeffs = [c for row in self.rows for c in row[2::3]]
+            if all(c is ONE for c in coeffs):
+                self._exact = (self.rows, 1)
+            elif all(type(c) in (int, Fraction) for c in coeffs):
+                d = math.lcm(*(Fraction(c).denominator for c in coeffs))
+                self._exact = (tuple(
+                    tuple(x if at % 3 < 2 else _unit(int(x * d)) for at, x in enumerate(row))
+                    for row in self.rows), d)
+            else:
+                self._exact = None
+        return self._exact
 
     def __getitem__(self, key):
         n = len(self.rows)
@@ -84,6 +109,33 @@ class ProductTable(Mapping):
 
 def _unit(c):
     return ONE if c == 1 else c
+
+
+def _over_lcm(v):
+    """Integer numerators of an all-``Fraction`` vector over the lcm of its denominators."""
+    dens = [x.denominator for x in v]
+    d = math.lcm(*dens)
+    if d == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (d // q) for x, q in zip(v, dens)], d
+
+
+def _convolve(rows, a, b, zero) -> list:
+    """The sparse row walk of :meth:`WeilAlgebra.mul_coeffs` over table ``rows``."""
+    out = [zero] * len(rows)
+    for ai, row in zip(a, rows):
+        if not ai:
+            continue
+        triples = iter(row)
+        for j, k, c in zip(triples, triples, triples):
+            bj = b[j]
+            if not bj:
+                continue
+            term = ai * bj
+            if c is not ONE:
+                term = c * term
+            out[k] = out[k] + term
+    return out
 
 
 def _triples(row) -> list:
@@ -158,23 +210,21 @@ class WeilAlgebra:
         """Structure-constant convolution of two coefficient vectors.
 
         Coefficients may be any scalars supporting ring arithmetic, including
-        coefficient vectors of another algebra (nested evaluation).
+        coefficient vectors of another algebra (nested evaluation).  When both
+        vectors are all ``Fraction`` and the table is exact, the walk runs on
+        integer numerators over one common denominator and each output entry
+        is reduced once; the values are the same as term-by-term ``Fraction``
+        arithmetic.
         """
-        zero = a[0] * 0
-        out = [zero] * self.dim
-        for ai, row in zip(a, self.struct.rows):
-            if not ai:
-                continue
-            triples = iter(row)
-            for j, k, c in zip(triples, triples, triples):
-                bj = b[j]
-                if not bj:
-                    continue
-                term = ai * bj
-                if c is not ONE:
-                    term = c * term
-                out[k] = out[k] + term
-        return tuple(out)
+        if type(a[0]) is Fraction is type(b[0]):
+            exact = self.struct.exact_rows()
+            if exact is not None and {*map(type, a), *map(type, b)} == {Fraction}:
+                rows, dc = exact
+                na, da = _over_lcm(a)
+                nb, db = _over_lcm(b)
+                d = da * db * dc
+                return tuple(Fraction(s, d) if s else ZERO for s in _convolve(rows, na, nb, 0))
+        return tuple(_convolve(self.struct.rows, a, b, a[0] * 0))
 
     def is_zero_coeffs(self, a) -> bool:
         return not any(a)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import scalars
 from .algebra import algebra_from_spec, algebra_info, morphism_from_generator_images, tensor
-from .errors import WeilError
+from .errors import BadParameter, DomainError, WeilError
 from .expr import parse_function_file, parse_smooth_map
 from .fincat import (
     exp_compat_check,
@@ -60,12 +61,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _to_float(value, text: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise BadParameter("point coordinate %s is out of the float range" % text.strip()) from None
+
+
 def _parse_point(text: str, mode: str):
     parts = [p for p in text.split(",") if p.strip()]
     vals = [scalars.parse_scalar(p) for p in parts]
     if mode == scalars.FLOAT:
-        return [float(v) for v in vals]
+        return [_to_float(v, p) for v, p in zip(vals, parts)]
     return vals
+
+
+def _require_finite(entries) -> None:
+    """Raise ``DomainError`` naming the first ``(name, values)`` entry with a non-finite float."""
+    for name, values in entries:
+        for value in values:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError("non-finite result at %s: %r" % (name, value))
 
 
 def cmd_algebra(args) -> int:
@@ -99,10 +115,11 @@ def cmd_jet(args) -> int:
         raise WeilError("jet needs a one-variable map; use partials")
     at = scalars.parse_scalar(args.at)
     if args.scalar == scalars.FLOAT:
-        at = float(at)
+        at = _to_float(at, args.at)
     norm = DERIVATIVE if args.normalization == "derivative" else RAW
     table = jet(f, at, args.order, norm)
     series = table.series()
+    _require_finite(("monomial %s" % label, vals) for label, vals in series)
     values = [entry[1][0] if f.n_outputs == 1 else list(entry[1]) for entry in series]
     payload = {
         "fn": args.fn,
@@ -131,6 +148,7 @@ def cmd_partials(args) -> int:
         exps = tuple(m.exponent(i) for i in range(f.arity))
         vals = table.value(exps)
         entries.append({"orders": list(exps), "values": list(vals)})
+    _require_finite(("orders %s" % e["orders"], e["values"]) for e in entries)
     payload = {"fn": args.fn, "at": at, "orders": orders,
                "normalization": args.normalization, "entries": entries}
     _emit(payload, args.format,

@@ -4,7 +4,11 @@ Grammar: infix ``+ - * /``, ``^`` with a literal integer exponent, unary
 minus, function application ``name(arg)`` over the primitive set, decimal and
 fraction literals (``3/4`` is exact).  Parsing interns syntactically
 identical subtrees, so repeated subexpressions share one node and evaluate
-once per call.
+once per call.  An expression may nest at most :data:`MAX_DEPTH` deep, both
+in its groups (parentheses, function arguments, unary minus) and in its tree
+(so a long ``x+x+...`` chain counts too); deeper input is a
+:class:`ParseError`, raised before the recursive parser or evaluator could
+run out of stack.
 
 The same DAG evaluates under two interchangeable semantics: plain scalars
 (:func:`eval_map`) and algebra elements (:func:`lift_eval` in
@@ -21,6 +25,8 @@ from fractions import Fraction
 from . import scalars
 from .errors import ParseError, UnknownFunction, UnknownVariable, WeilError
 from .primitives import PRIMITIVES, Primitive
+
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -132,7 +138,9 @@ class _Parser:
         self.vars = {name: i for i, name in enumerate(variables)}
         self.tokens = self._tokenize(text)
         self.pos = 0
+        self.nesting = 0
         self._cache: dict = {}
+        self._depth: dict = {}
 
     def _tokenize(self, text):
         tokens = []
@@ -165,13 +173,29 @@ class _Parser:
             return self._next()
         raise ParseError("expected %r" % value, col)
 
-    # hash-consing constructors
+    def _check_depth(self, depth):
+        if depth > MAX_DEPTH:
+            raise ParseError("expression nested %d deep, more than the bound of %d"
+                             % (depth, MAX_DEPTH), self._peek()[2])
 
-    def _node(self, key, build):
+    def _group(self, parse):
+        """Parse a nested group (parenthesized, a function argument or negated)."""
+        self.nesting += 1
+        self._check_depth(self.nesting)
+        node = parse()
+        self.nesting -= 1
+        return node
+
+    # hash-consing constructors; each node records the height of its tree
+
+    def _node(self, key, build, *children):
         node = self._cache.get(key)
         if node is None:
+            depth = 1 + max((self._depth[id(c)] for c in children), default=0)
+            self._check_depth(depth)
             node = build()
             self._cache[key] = node
+            self._depth[id(node)] = depth
         return node
 
     def var(self, index, name):
@@ -181,13 +205,14 @@ class _Parser:
         return self._node(("c", value), lambda: Const(value))
 
     def bin(self, op, left, right):
-        return self._node(("b", op, id(left), id(right)), lambda: Bin(op, left, right))
+        return self._node(("b", op, id(left), id(right)), lambda: Bin(op, left, right),
+                          left, right)
 
     def pow(self, base, exponent):
-        return self._node(("p", id(base), exponent), lambda: Pow(base, exponent))
+        return self._node(("p", id(base), exponent), lambda: Pow(base, exponent), base)
 
     def call(self, prim, arg):
-        return self._node(("f", prim.name, id(arg)), lambda: Call(prim, arg))
+        return self._node(("f", prim.name, id(arg)), lambda: Call(prim, arg), arg)
 
     # grammar
 
@@ -222,7 +247,7 @@ class _Parser:
         kind, text, _ = self._peek()
         if kind == "op" and text == "-":
             self._next()
-            inner = self.factor()
+            inner = self._group(self.factor)
             return self.bin("-", self.const(Fraction(0)), inner)
         return self.power()
 
@@ -259,14 +284,14 @@ class _Parser:
                 if prim is None:
                     raise UnknownFunction("unknown function %r" % text, col)
                 self._next()
-                arg = self.expr()
+                arg = self._group(self.expr)
                 self._expect(")")
                 return self.call(prim, arg)
             if text in self.vars:
                 return self.var(self.vars[text], text)
             raise UnknownVariable("unknown variable %r" % text, col)
         if kind == "op" and text == "(":
-            node = self.expr()
+            node = self._group(self.expr)
             self._expect(")")
             return node
         raise ParseError("unexpected %s" % (repr(text) if text else "end of input"), col)
@@ -299,6 +324,7 @@ def parse_function_file(text: str) -> SmoothMap:
         sub = _Parser(ln, variables)
         sub.vars = parser_vars
         sub._cache = shared._cache
+        sub._depth = shared._depth
         outputs.append(sub.parse())
     if not outputs:
         raise ParseError("function file has no output expressions", 1)

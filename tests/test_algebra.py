@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from weilad import algebra
 from weilad.algebra import (
@@ -21,8 +22,9 @@ from weilad.algebra import (
 from weilad.corpus import algebra_family, tensor_pairs
 from weilad.errors import BadParameter, DuplicateGenerator, InfiniteDimension
 from weilad.expr import parse_smooth_map
-from weilad.functor import partials
+from weilad.functor import jet, partials
 from weilad.monomial import Monomial
+from weilad.numbers import WeilNumber
 
 
 def enumeration_oracle(caps, vanishing):
@@ -258,13 +260,117 @@ def test_hand_built_table_multiplies_like_the_dense_loop():
     assert dict(bad.struct) == table
     assert bad.struct[(1, 2)] == ((1, Fraction(1, 3)), (2, Fraction(-1)))
     rng = random.Random(7)
+    # the Fraction coefficients put the table on the rational path, over denominator 3
+    assert bad.struct.exact_rows()[1] == 3
     for _ in range(10):
         a, b = random_vector(rng, 3), random_vector(rng, 3)
-        assert bad.mul_coeffs(a, b) == dense_loop_product(table, a, b)
+        got = bad.mul_coeffs(a, b)
+        assert got == dense_loop_product(table, a, b)
+        assert all(type(x) is Fraction for x in got)
         fa, fb = tuple(map(float, a)), tuple(map(float, b))
         assert bad.mul_coeffs(fa, fb) == dense_loop_product(table, fa, fb)
     # the cached original keeps its own table
     assert w.mul_coeffs((0, 1, 0), (0, 1, 0)) == (0, 0, 1)
+
+
+# -- the integer path for exact rationals -------------------------------------
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+          73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151)
+
+
+def random_presentation(rng):
+    """Generators with random caps, plus up to two random mixed relations."""
+    n = rng.randint(1, 3)
+    caps = [rng.randint(1, 4) for _ in range(n)]
+    rels = [Monomial.of([(i, c)]) for i, c in enumerate(caps)]
+    for _ in range(rng.randint(0, 2)):
+        gens = rng.sample(range(n), rng.randint(1, n))
+        rels.append(Monomial.of([(i, rng.randint(1, caps[i])) for i in sorted(gens)]))
+    return present_algebra(("x", "y", "z")[:n], rels)
+
+
+def exact_vectors(rng, dim):
+    """Fraction vectors: huge, pairwise coprime denominators, sparse, all zero."""
+    big = 10 ** 20
+    yield tuple(Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(dim))
+    yield tuple(Fraction(rng.randint(-9, 9), PRIMES[i % len(PRIMES)]) for i in range(dim))
+    yield tuple(Fraction(rng.randint(1, big), big - 1) if rng.random() < 0.3 else Fraction(0)
+                for _ in range(dim))
+    yield tuple(Fraction(0) for _ in range(dim))
+    yield random_vector(rng, dim)
+
+
+def other_vectors(rng, dim):
+    """Vectors that keep the generic loop: int/Fraction mixes, ints, floats, nested."""
+    d = dual_algebra(1)
+    mixed = tuple(rng.randint(-5, 5) if i % 2 else Fraction(rng.randint(-5, 5), 3)
+                  for i in range(dim))
+    yield mixed
+    yield tuple(reversed(mixed))
+    yield tuple(rng.randint(-5, 5) for _ in range(dim))
+    floats = tuple(rng.uniform(-2, 2) for _ in range(dim))
+    yield floats
+    yield (Fraction(1, 3),) + floats[1:]
+    yield tuple(WeilNumber(d, random_vector(rng, 2)) for _ in range(dim))
+
+
+def assert_like_the_dense_loop(w, a, b):
+    got = w.mul_coeffs(a, b)
+    want = dense_loop_product(dict(w.struct), a, b)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+    return got
+
+
+def assert_kernel_like_the_dense_loop(w, rng):
+    vectors = list(exact_vectors(rng, w.dim))
+    for a, b in itertools.product(vectors, repeat=2):
+        got = assert_like_the_dense_loop(w, a, b)
+        assert all(type(x) is Fraction for x in got)
+    for a in other_vectors(rng, w.dim):
+        assert_like_the_dense_loop(w, a, a)
+        assert_like_the_dense_loop(w, a, tuple(reversed(a)))
+    assert_like_the_dense_loop(w, vectors[0], tuple(map(int, vectors[0])))
+
+
+@pytest.mark.parametrize("w", TABLE_ALGEBRAS, ids=lambda w: w.name)
+def test_rational_path_matches_the_dense_loop(w):
+    # a monomial table is exact as it stands: no second copy of its rows
+    assert w.struct.exact_rows() == (w.struct.rows, 1)
+    assert w.struct.exact_rows()[0] is w.struct.rows
+    assert_kernel_like_the_dense_loop(w, random.Random(w.dim))
+
+
+def test_rational_path_on_random_presentations():
+    rng = random.Random(5)
+    for _ in range(60):
+        assert_kernel_like_the_dense_loop(random_presentation(rng), rng)
+
+
+def test_inexact_table_keeps_the_generic_loop():
+    w = jet_algebra(2)
+    table = dict(w.struct)
+    table[(1, 1)] = ((2, 2.0),)
+    bad = replace(w, struct=table)
+    assert bad.struct.exact_rows() is None
+    a = (Fraction(1, 2), Fraction(1, 3), Fraction(0))
+    got = assert_like_the_dense_loop(bad, a, a)
+    assert type(got[2]) is float
+
+
+def test_rational_jet_matches_sympy_series_at_order_32():
+    text, at, order = "recip(1+x^2)*(x-1)/(2+x)^2 + x^3", Fraction(3, 4), 32
+    table = jet(parse_smooth_map(text, ["x"]), at, order)
+    x, t = sympy.symbols("x t")
+    expr = 1 / (1 + x ** 2) * (x - 1) / (2 + x) ** 2 + x ** 3
+    series = sympy.series(expr.subs(x, sympy.Rational(3, 4) + t), t, 0, order + 1).removeO()
+    want = sympy.Poly(series, t)
+    for k in range(order + 1):
+        got = table.raw_coefficient(k)[0]
+        assert type(got) is Fraction
+        assert got == Fraction(str(want.coeff_monomial(t ** k))), k
 
 
 def test_struct_is_read_only():

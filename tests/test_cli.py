@@ -117,6 +117,46 @@ def test_jet_overflow_is_an_error_document(capsys):
     assert "exp" in doc["message"] and "800" in doc["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["jet", "--fn", "exp(x)", "--at", "1e400", "--order", "2"],
+    ["partials", "--fn", "x*y", "--at", "1e400,1", "--orders", "1,1", "--scalar", "float"],
+], ids=["jet", "partials"])
+def test_point_out_of_float_range_is_an_error_document(capsys, argv):
+    code, out = run(capsys, argv)
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMAS["error"])
+    assert code == 1 and doc["error"] == "BadParameter" and "1e400" in doc["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["jet", "--fn", "x^200", "--at", "1e300", "--order", "2"], "at monomial 1: nan"),
+    (["jet", "--fn", "x^-3", "--at", "1e-200", "--order", "2"], "at monomial 1: inf"),
+    (["jet", "--fn", "exp(x)*1e300*1e300", "--at", "1", "--order", "2"], "at monomial 1: inf"),
+    (["jet", "--fn", "1e300*1e300*x^2 - 1e300*1e300*x^2", "--at", "1", "--order", "2"],
+     "at monomial 1: nan"),
+    (["partials", "--fn", "x*y*1e300*1e300", "--at", "1,1", "--orders", "1,1"],
+     "at orders [0, 0]: inf"),
+    (["partials", "--fn", "x*y^2*1e300", "--at", "1,1e10", "--orders", "1,2"],
+     "at orders [0, 0]: inf"),
+], ids=["nan", "inf", "inf-product", "inf-minus-inf", "partials", "partials-point"])
+def test_non_finite_result_is_an_error_document(capsys, argv, message):
+    code, out = run(capsys, argv)
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMAS["error"])
+    assert code == 1 and doc["error"] == "DomainError"
+    assert doc["message"] == "non-finite result " + message
+
+
+@pytest.mark.parametrize("text", ["(" * 2000 + "x" + ")" * 2000, "+".join(["x"] * 3000)],
+                         ids=["parentheses", "sum"])
+def test_deep_expression_is_an_error_document(capsys, text):
+    code, out = run(capsys, ["jet", "--fn", text, "--at", "1", "--order", "2"])
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMAS["error"])
+    assert code == 1 and doc["error"] == "ParseError"
+    assert "nested 101 deep, more than the bound of 100" in doc["message"]
+
+
 def test_partials_command(capsys):
     code, out = run(capsys, ["partials", "--fn", "x*y", "--at", "2,5",
                              "--orders", "1,1", "--scalar", "rational"])
@@ -284,8 +324,17 @@ def test_model_check_invalid_category_is_an_error_document(capsys, tmp_path):
 
 # sha256 of the stdout of runs whose output is fixed; each exits with 0.  A
 # change to a search, a report or the arithmetic that alters a count, a
-# witness or an order fails here.
-LAWS_RATIONAL_SEED_0 = "f2b538af220682ae6751b1d68c77ac25b57b34df7be05875674c4ded0f43f599"
+# witness, an order or an exact value fails here.
+PINNED_RUNS = {
+    ("laws", "run", "--scalar", "rational", "--seed", "0"):
+        "f2b538af220682ae6751b1d68c77ac25b57b34df7be05875674c4ded0f43f599",
+    ("jet", "--fn", "recip(1+x^2)*(x-1)/(2+x)^2", "--at", "3/4", "--order", "35",
+     "--scalar", "rational"):
+        "2941093faca1831bb81a75570bfef329bdcaf4f0c7b85205c2edba1b4c235236",
+    ("partials", "--fn", "x*y/(1+x+y^2) + recip(2-x*y)", "--at", "1/2,1/3",
+     "--orders", "3,3", "--scalar", "rational"):
+        "3fad2e03111f3501afce63822454d79b29a97af73522f66f4e36feb1b1ad46c3",
+}
 MODEL_CHECK_DIGESTS = {
     ("terminal", "ccc"): "9fff58088286a64fe09236f42331863776af77cbb4578498368a1462685d0262",
     ("terminal", "slice-ccc"): "bc80885456b74b6028eaea896654d100476c360c57fb58df488a304fa692cb95",
@@ -312,8 +361,8 @@ def digest_of_run(capsys, argv):
 
 
 def test_laws_run_output_is_pinned(capsys):
-    got = digest_of_run(capsys, ["laws", "run", "--scalar", "rational", "--seed", "0"])
-    assert got == (0, LAWS_RATIONAL_SEED_0)
+    for argv, digest in PINNED_RUNS.items():
+        assert digest_of_run(capsys, list(argv)) == (0, digest), argv[0]
 
 
 @pytest.mark.parametrize("instance, check", sorted(MODEL_CHECK_DIGESTS))

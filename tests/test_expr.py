@@ -4,6 +4,7 @@ import pytest
 
 from weilad.errors import ParseError, UnknownFunction, UnknownVariable
 from weilad.expr import (
+    MAX_DEPTH,
     Bin,
     Call,
     Const,
@@ -14,7 +15,7 @@ from weilad.expr import (
     parse_smooth_map,
     tuple_map,
 )
-from weilad.functor import eval_map
+from weilad.functor import eval_map, jet
 
 
 def test_basic_shape():
@@ -111,3 +112,29 @@ def test_shared_nodes_evaluate_once(monkeypatch):
     f = parse_smooth_map("sin(x)*sin(x) + sin(x)", ["x"])
     eval_map(f, [0.5])
     assert len(calls) == 1
+
+
+def nested(depth):
+    """Expressions whose parser nesting or tree height is ``depth``."""
+    return {
+        "parentheses": "(" * depth + "x" + ")" * depth,
+        "calls": "sin(" * (depth - 1) + "x" + ")" * (depth - 1),
+        "negations": "-" * (depth - 1) + "x",
+        "sum": "+".join(["x"] * depth),
+        "powers": "x" + "^1" * (depth - 1),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(nested(1)))
+def test_depth_bound_admits_the_bound_and_rejects_one_more(shape):
+    f = parse_smooth_map(nested(MAX_DEPTH)[shape], ["x"])
+    assert len(jet(f, 0.5, 2).series()) == 3
+    with pytest.raises(ParseError, match="nested %d deep, more than the bound of %d"
+                       % (MAX_DEPTH + 1, MAX_DEPTH)):
+        parse_smooth_map(nested(MAX_DEPTH + 1)[shape], ["x"])
+
+
+def test_depth_bound_holds_across_a_function_file():
+    deep = "+".join(["x"] * MAX_DEPTH)
+    with pytest.raises(ParseError, match="bound of %d" % MAX_DEPTH):
+        parse_function_file("vars x\n%s\n%s + x\n" % (deep, deep))

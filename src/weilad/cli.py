@@ -172,6 +172,7 @@ def cmd_morphism(args) -> int:
     phi = morphism_from_generator_images(src, tgt, images)
     value = element(args.value, src)
     result = push_along(phi, value)
+    _require_finite([("value", value.coeffs), ("result", result.coeffs)])
     payload = {
         "source": src.name,
         "target": tgt.name,

@@ -179,12 +179,7 @@ def jet(f: SmoothMap, at, order: int, normalization: str = DERIVATIVE) -> JetTab
     else:
         w = jet_algebra(order)
         seed = variable(w, 0, at)
-    results = lift_eval(f, w, [seed])
-    raw = {}
-    for m in w.basis:
-        idx = w.basis_index(m)
-        raw[m] = tuple(r.coeffs[idx] for r in results)
-    return JetTable(w, (at,), raw, normalization, f.n_outputs)
+    return _table(f, w, [seed], (at,), normalization)
 
 
 def partials(f: SmoothMap, at, orders, normalization: str = DERIVATIVE) -> JetTable:
@@ -199,11 +194,13 @@ def partials(f: SmoothMap, at, orders, normalization: str = DERIVATIVE) -> JetTa
     rels = [Monomial.of([(i, o + 1)]) for i, o in enumerate(orders)]
     w = present_algebra(gens, rels, name="partials(%s)" % ",".join(map(str, orders)))
     seeds = [variable(w, i, a) for i, a in enumerate(at)]
+    return _table(f, w, seeds, at, normalization)
+
+
+def _table(f: SmoothMap, w: WeilAlgebra, seeds, at: tuple, normalization: str) -> JetTable:
+    """Lift ``f`` to the seeds and read each output's coefficients by basis monomial."""
     results = lift_eval(f, w, seeds)
-    raw = {}
-    for m in w.basis:
-        idx = w.basis_index(m)
-        raw[m] = tuple(r.coeffs[idx] for r in results)
+    raw = {m: tuple(r.coeffs[i] for r in results) for i, m in enumerate(w.basis)}
     return JetTable(w, at, raw, normalization, f.n_outputs)
 
 

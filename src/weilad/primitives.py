@@ -1,10 +1,11 @@
-"""Smooth one-argument primitives and their derivative rules.
+"""Smooth one-argument primitives and their Taylor-coefficient recurrences.
 
-Each primitive can produce the list f(a), f'(a), ..., f^(k)(a) at a point
-``a``.  The point may itself be an element of an algebra (nested evaluation),
-so the rules are written against generic ring arithmetic: closed forms where
-they exist (exp, sin, cos, log, sqrt, recip, integer powers) and derivative
-polynomials for tan, tanh and atan.
+Each primitive produces the Taylor coefficients f(a), f'(a)/1!, ...,
+f^(k)(a)/k! at a point ``a``.  The point may itself be an element of an
+algebra (nested evaluation), so every rule uses only ring operations and
+division by integers: closed forms for exp, sin, cos, log, sqrt, recip and
+integer powers, and the series recurrences of Griewank & Walther
+(*Evaluating Derivatives*, 2nd ed., ch. 13) for tan, tanh and atan.
 
 Transcendental primitives exist only in float mode; ``recip`` and integer
 powers work exactly on rationals.
@@ -30,8 +31,8 @@ class Primitive:
     def check_domain(self, a, *params):
         pass
 
-    def derivatives(self, a, count, *params):
-        """Return [f(a), f'(a), ..., f^(count-1)(a)]."""
+    def taylor(self, a, count, *params):
+        """Return [f(a), f'(a)/1!, ..., f^(count-1)(a)/(count-1)!]."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -53,15 +54,7 @@ def apply_primitive(p: Primitive, x, *params):
     if not isinstance(a, WeilNumber):
         _check_scalar(p, a, *params)
 
-    r = x.algebra.nilpotency_index
-    derivs = p.derivatives(a, r, *params)
-    coeffs = []
-    fact = 1
-    for i, d in enumerate(derivs):
-        if i:
-            fact *= i
-        coeffs.append(_scale(d, Fraction(1, fact)))
-
+    coeffs = p.taylor(a, x.algebra.nilpotency_index, *params)
     n = x.nilpotent_part()
     acc = x.ring_zero().plus_scalar(coeffs[-1])
     for c in reversed(coeffs[:-1]):
@@ -104,33 +97,47 @@ def _add_const(v, c: int):
     return v + c
 
 
-def _poly_eval(coeffs, a):
-    """Horner evaluation of an integer-coefficient polynomial at a generic point."""
-    acc = zero_like(a)
-    for c in reversed(coeffs):
-        acc = acc * a
-        acc = _add_const(acc, c)
-    return acc
-
-
-def _poly_derive(p):
-    return [i * c for i, c in enumerate(p)][1:] or [0]
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
+def _over_factorials(derivs):
+    """Divide the k-th entry by k!: closed-form derivatives to Taylor coefficients."""
+    out, fact = [], 1
+    for k, d in enumerate(derivs):
+        fact *= max(k, 1)
+        out.append(_scale(d, Fraction(1, fact)))
     return out
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    p = p + [0] * (n - len(p))
-    q = q + [0] * (n - len(q))
-    return [a + b for a, b in zip(p, q)]
 
-def _poly_scale(p, s):
-    return [s * c for c in p]
+def _geometric(start, ratio, count: int) -> list:
+    """[start, start*ratio, ..., start*ratio^(count-1)]."""
+    out = []
+    for _ in range(count):
+        out.append(out[-1] * ratio if out else start)
+    return out
+
+
+def _antiderivative(value, coeffs) -> list:
+    """Taylor coefficients of F from F(a) = ``value`` and those of F': F_k = coeffs[k-1]/k."""
+    return [value] + [_scale(c, Fraction(1, k)) for k, c in enumerate(coeffs, 1)]
+
+
+def _one_plus_square(y0, count: int, sign: int) -> list:
+    """Taylor coefficients of y with y' = 1 + sign*y^2 and y(a) = y0 (tan: +1, tanh: -1).
+
+    (k+1) y_{k+1} = [k = 0] + sign * sum_{i+j=k} y_i y_j, written as
+    sign * ([k = 0] sign + sum) because sign^2 = 1; the sum pairs y_i y_j
+    with y_j y_i, so step k costs about k/2 products.
+    """
+    y = [y0]
+    for k in range(count - 1):
+        acc = zero_like(y0)
+        for i in range((k + 1) // 2):
+            acc = acc + y[i] * y[k - i]
+        acc = acc + acc
+        if k % 2 == 0:
+            acc = acc + y[k // 2] * y[k // 2]
+        if k == 0:
+            acc = _add_const(acc, sign)
+        y.append(_scale(acc, Fraction(sign, k + 1)))
+    return y
 
 
 class _Exp(Primitive):
@@ -139,12 +146,13 @@ class _Exp(Primitive):
     def scalar_value(self, a):
         return math.exp(a)
 
-    def derivatives(self, a, count):
-        v = _value(self, a)
-        return [v] * count
+    def taylor(self, a, count):
+        return _over_factorials([_value(self, a)] * count)
 
 
 class _Log(Primitive):
+    """log' = recip, so the k-th coefficient is (-1)^(k+1) / (k a^k)."""
+
     name = "log"
 
     def scalar_value(self, a):
@@ -154,19 +162,8 @@ class _Log(Primitive):
         if a <= 0:
             raise DomainError("log needs a positive constant term, got %s" % (a,))
 
-    def derivatives(self, a, count):
-        out = [_value(self, a)]
-        if count > 1:
-            u = reciprocal(a)
-            upow = u
-            sign, fact = 1, 1
-            for i in range(1, count):
-                if i > 1:
-                    sign = -sign
-                    fact *= i - 1
-                    upow = upow * u
-                out.append(_scale(upow, Fraction(sign * fact)))
-        return out
+    def taylor(self, a, count):
+        return _antiderivative(_value(self, a), RECIP.taylor(a, count - 1))
 
 
 class _Sin(Primitive):
@@ -175,11 +172,9 @@ class _Sin(Primitive):
     def scalar_value(self, a):
         return math.sin(a)
 
-    def derivatives(self, a, count):
-        s = _value(self, a)
-        c = _value(COS, a)
-        cycle = [s, c, -s, -c]
-        return [cycle[i % 4] for i in range(count)]
+    def taylor(self, a, count):
+        s, c = _value(self, a), _value(COS, a)
+        return _over_factorials([s, c, -s, -c][k % 4] for k in range(count))
 
 
 class _Cos(Primitive):
@@ -188,14 +183,14 @@ class _Cos(Primitive):
     def scalar_value(self, a):
         return math.cos(a)
 
-    def derivatives(self, a, count):
-        s = _value(SIN, a)
-        c = _value(self, a)
-        cycle = [c, -s, -c, s]
-        return [cycle[i % 4] for i in range(count)]
+    def taylor(self, a, count):
+        s, c = _value(SIN, a), _value(self, a)
+        return _over_factorials([c, -s, -c, s][k % 4] for k in range(count))
 
 
 class _Sqrt(Primitive):
+    """sqrt(a + h) = sqrt(a) * sum_k binom(1/2, k) (h/a)^k."""
+
     name = "sqrt"
 
     def scalar_value(self, a):
@@ -205,82 +200,53 @@ class _Sqrt(Primitive):
         if a <= 0:
             raise DomainError("sqrt needs a positive constant term, got %s" % (a,))
 
-    def derivatives(self, a, count):
-        v = _value(self, a)
-        out = [v]
-        if count > 1:
-            u = reciprocal(a)
-            cur = v
-            coeff = Fraction(1)
-            for i in range(1, count):
-                coeff *= Fraction(1, 2) - (i - 1)
-                cur = cur * u
-                out.append(_scale(cur, coeff))
+    def taylor(self, a, count):
+        out, binom = [], Fraction(1)
+        for k, p in enumerate(_geometric(_value(self, a), reciprocal(a), count)):
+            out.append(_scale(p, binom))
+            binom *= (Fraction(1, 2) - k) / (k + 1)
         return out
 
 
 class _Tan(Primitive):
-    """Derivatives of tan are integer polynomials in t = tan(a): P' * (1 + t^2)."""
-
     name = "tan"
 
     def scalar_value(self, a):
         return math.tan(a)
 
-    def derivatives(self, a, count):
-        t = _value(self, a)
-        out = [t]
-        poly = [0, 1]
-        for _ in range(1, count):
-            poly = _poly_mul(_poly_derive(poly), [1, 0, 1])
-            out.append(_poly_eval(poly, t))
-        return out
+    def taylor(self, a, count):
+        return _one_plus_square(_value(self, a), count, 1)
 
 
 class _Tanh(Primitive):
-    """Same recurrence as tan with the chain factor 1 - t^2."""
-
     name = "tanh"
 
     def scalar_value(self, a):
         return math.tanh(a)
 
-    def derivatives(self, a, count):
-        t = _value(self, a)
-        out = [t]
-        poly = [0, 1]
-        for _ in range(1, count):
-            poly = _poly_mul(_poly_derive(poly), [1, 0, -1])
-            out.append(_poly_eval(poly, t))
-        return out
+    def taylor(self, a, count):
+        return _one_plus_square(_value(self, a), count, -1)
 
 
 class _Atan(Primitive):
-    """f^(n) = Q_n(a) / (1+a^2)^n with Q_{n+1} = (1+a^2) Q_n' - 2 n a Q_n."""
+    """atan' = 1/(1 + (a+h)^2) = sum_k u_k h^k with d u_k = -(2a u_{k-1} + u_{k-2}), d = 1 + a^2."""
 
     name = "atan"
 
     def scalar_value(self, a):
         return math.atan(a)
 
-    def derivatives(self, a, count):
-        out = [_value(self, a)]
-        if count > 1:
-            u = reciprocal(_add_const(a * a, 1))
-            upow = u
-            q = [1]
-            for n in range(1, count):
-                if n > 1:
-                    q = _poly_add(
-                        _poly_mul(_poly_derive(q), [1, 0, 1]),
-                        _poly_mul(_poly_scale(q, -2 * (n - 1)), [0, 1]),
-                    )
-                    upow = upow * u
-                out.append(_poly_eval(q, a) * upow)
-        return out
+    def taylor(self, a, count):
+        inv_d = reciprocal(_add_const(a * a, 1))
+        u = [zero_like(a), inv_d]
+        while len(u) < count:
+            u.append(-((a + a) * u[-1] + u[-2]) * inv_d)
+        return _antiderivative(_value(self, a), u[1:count])
 
 
 class _Recip(Primitive):
+    """1/(a + h) = sum_k (-1)^k h^k / a^(k+1)."""
+
     name = "recip"
     rational_ok = True
 
@@ -291,21 +257,13 @@ class _Recip(Primitive):
         if not a:
             raise DomainError("recip needs a nonzero constant term")
 
-    def derivatives(self, a, count):
+    def taylor(self, a, count):
         u = reciprocal(a)
-        out = [u]
-        upow = u
-        sign, fact = 1, 1
-        for i in range(1, count):
-            sign = -sign
-            fact *= i
-            upow = upow * u
-            out.append(_scale(upow, Fraction(sign * fact)))
-        return out
+        return _geometric(u, -u, count)
 
 
 class _PowInt(Primitive):
-    """Integer power with the exponent as a constant parameter."""
+    """Integer power with the exponent as a constant parameter: coefficients binom(n, k) a^(n-k)."""
 
     name = "pow_int"
     rational_ok = True
@@ -321,16 +279,11 @@ class _PowInt(Primitive):
         if n < 0 and not a:
             raise DomainError("negative power needs a nonzero constant term")
 
-    def derivatives(self, a, count, n):
-        out = []
-        falling = 1
-        for i in range(count):
-            if i:
-                falling *= n - (i - 1)
-            if falling == 0:
-                out.append(zero_like(a))
-                continue
-            out.append(_scale(power(a, n - i), Fraction(falling)))
+    def taylor(self, a, count, n):
+        out, binom = [], 1
+        for k in range(count):
+            out.append(_scale(power(a, n - k), Fraction(binom)) if binom else zero_like(a))
+            binom = binom * (n - k) // (k + 1)
         return out
 
 

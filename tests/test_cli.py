@@ -138,7 +138,9 @@ def test_point_out_of_float_range_is_an_error_document(capsys, argv):
      "at orders [0, 0]: inf"),
     (["partials", "--fn", "x*y^2*1e300", "--at", "1,1e10", "--orders", "1,2"],
      "at orders [0, 0]: inf"),
-], ids=["nan", "inf", "inf-product", "inf-minus-inf", "partials", "partials-point"])
+    (["morphism", "apply", "--from", "jet:2", "--to", "jet:2", "--images", "1e300*x",
+      "--value", "x^2", "--scalar", "float"], "at result: inf"),
+], ids=["nan", "inf", "inf-product", "inf-minus-inf", "partials", "partials-point", "morphism"])
 def test_non_finite_result_is_an_error_document(capsys, argv, message):
     code, out = run(capsys, argv)
     doc = json.loads(out)

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from weilad.errors import (
     UnsupportedInRationalMode,
 )
 from weilad.expr import parse_smooth_map
-from weilad.functor import jet
+from weilad.functor import RAW, flatten_nested, jet, nested_inputs
 from weilad.numbers import constant, invert, number, power, push_along, variable
 from weilad.primitives import (
     ATAN,
@@ -206,6 +207,48 @@ def test_huge_integer_power_is_fast():
     table = jet(f, Fraction(1), 2)
     assert time.perf_counter() - start < 1.0
     assert [table.derivative((k,))[0] for k in range(3)] == [1, 3000000, 3000000 * 2999999]
+
+
+MPMATH_POINTS = [
+    ("tanh", 2.0), ("tanh", 3.0), ("tan", 0.7), ("tan", -0.7), ("tan", 1.5),
+    ("atan", 0.8), ("atan", 3.0), ("sqrt", 1.6), ("log", 0.4), ("exp", 0.9),
+    ("sin", 0.7), ("cos", 1.3), ("recip", 0.9),
+]
+
+
+@pytest.mark.parametrize("name, at", MPMATH_POINTS, ids=str)
+def test_order_32_jet_matches_mpmath_taylor(name, at):
+    fn = (lambda t: 1 / t) if name == "recip" else getattr(mpmath, name)
+    with mpmath.workdps(60):
+        want = mpmath.taylor(fn, mpmath.mpf(at), 32)
+    got = jet(parse_smooth_map("%s(x)" % name, ["x"]), at, 32, RAW)
+    for k, w in enumerate(want):
+        assert abs(got.raw_coefficient(k)[0] - w) <= 1e-12 * abs(w), (name, at, k)
+
+
+NESTED_FLOAT = [(ALL_PRIMS[name][0], (), ALL_PRIMS[name][2]) for name in sorted(ALL_PRIMS)]
+NESTED_FLOAT += [(POW_INT, (4,), 0.7), (POW_INT, (-3,), 0.7)]
+NESTED_EXACT = [(RECIP, (), 0.9), (POW_INT, (4,), 0.7), (POW_INT, (-3,), 0.7)]
+
+
+@pytest.mark.parametrize("prim, params, at, exact",
+                         [c + (False,) for c in NESTED_FLOAT] + [c + (True,) for c in NESTED_EXACT],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_nested_augmentation_matches_tensor_product(prim, params, at, exact):
+    """Value over jet(5) with jet(3) coefficients equals the value over jet(3) (x) jet(5)."""
+    J5 = jet_algebra(5)
+    t = tensor(J3, J5).algebra
+    rng = random.Random(11)
+    coeffs = [Fraction(str(at))] + [Fraction(rng.randint(-4, 4), 8) for _ in range(t.dim - 1)]
+    x = number(t, coeffs if exact else [float(c) for c in coeffs])
+    direct = apply_primitive(prim, x, *params)
+    nested = flatten_nested(J3, J5, apply_primitive(prim, nested_inputs(J3, J5, [x])[0], *params))
+    if exact:
+        assert nested == direct
+    else:
+        scale = max(abs(c) for c in direct.coeffs)
+        for a, b in zip(nested.coeffs, direct.coeffs):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-13 * scale), prim.name
 
 
 # -- pushforward -----------------------------------------------------------

@@ -31,6 +31,7 @@ from .errors import (
     DuplicateGenerator,
     InfiniteDimension,
     NotWellDefined,
+    SizeLimit,
     SourceTargetMismatch,
 )
 from .monomial import Monomial
@@ -290,6 +291,17 @@ class TensorProduct:
 # The table of the dimension-256 mixed(3,3,3,3) holds 10 000 products.
 _PRESENTATION_CACHE_SIZE = 16
 
+# The most products an algebra's table may hold.  jet(8)(x)jet(8)(x)jet(8)
+# has 45^3 = 91 125; a table of 10^6 takes about 1.5 s and 110 MB to build (one
+# core of a Xeon VM).
+MAX_TABLE_SIZE = 10 ** 6
+
+
+def _check_table_size(size: int, name: str) -> None:
+    if size > MAX_TABLE_SIZE:
+        raise SizeLimit("the product table of %s would hold %d products, more than the bound of %d"
+                        % (name, size, MAX_TABLE_SIZE))
+
 
 def present_algebra(generator_names, vanishing_monomials, name=None) -> WeilAlgebra:
     """Build k[generators]/(vanishing monomials).
@@ -297,9 +309,10 @@ def present_algebra(generator_names, vanishing_monomials, name=None) -> WeilAlge
     The basis is every monomial not divisible by a vanishing monomial,
     ordered by total degree then lexicographically (earlier generators
     first).  Raises InfiniteDimension unless some pure power of each
-    generator vanishes.  Algebras are immutable, so a recently built
-    presentation (same generators, relations and name) comes back as the
-    same object.
+    generator vanishes, and SizeLimit when the pure-power caps c_i bound the
+    product table by prod c_i (c_i + 1)/2 > :data:`MAX_TABLE_SIZE` entries.
+    Algebras are immutable, so a recently built presentation (same
+    generators, relations and name) comes back as the same object.
     """
     gens = tuple(generator_names)
     seen = set()
@@ -343,6 +356,7 @@ def _build_algebra(gens, vanishing, name) -> WeilAlgebra:
                 "no pure power of generator %r vanishes; quotient is infinite-dimensional" % gens[i]
             )
         caps.append(min(powers))
+    _check_table_size(math.prod(c * (c + 1) // 2 for c in caps), name)
 
     dense_vanishing = [tuple(v.exponent(i) for i in range(n)) for v in vanishing]
     codes = {}
@@ -441,7 +455,8 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra) -> TensorProduct:
     Generators are renamed with _1/_2 suffixes to keep them distinct.  The
     two inclusions w -> w (x) 1 and w -> 1 (x) w come back as morphisms.
     The same two factor objects give the same product object while the pair
-    is among the most recently used.
+    is among the most recently used.  Raises SizeLimit when the product of
+    the factors' table sizes exceeds :data:`MAX_TABLE_SIZE`.
     """
     key = (id(w1), id(w2))
     entry = _tensor_cache.pop(key, None)
@@ -454,6 +469,8 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra) -> TensorProduct:
 
 
 def _build_tensor(w1: WeilAlgebra, w2: WeilAlgebra) -> TensorProduct:
+    _check_table_size(math.prod(sum(map(len, w.struct.rows)) // 3 for w in (w1, w2)),
+                      "%s(x)%s" % (w1.name, w2.name))
     offset = len(w1.generator_names)
     gens = tuple(g + "_1" for g in w1.generator_names) + tuple(
         g + "_2" for g in w2.generator_names

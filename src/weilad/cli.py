@@ -11,6 +11,7 @@ check failed (or a computation error, reported in the ``error`` field),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -232,7 +233,9 @@ def cmd_model(args) -> int:
     return 0 if payload["passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: nothing in it depends on the environment."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "human"), default="json")
     common.add_argument("--max-enum", type=_positive_int, default=None,
@@ -299,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "algebra":
             return cmd_algebra(args)

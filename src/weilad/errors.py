@@ -68,7 +68,7 @@ class UnknownVariable(ParseError):
 
 
 class SizeLimit(WeilError):
-    """An enumeration would exceed the configured candidate bound."""
+    """An enumeration or an algebra's product table would exceed its bound."""
 
 
 class UnavailableInModel(WeilError):

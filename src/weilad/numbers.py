@@ -14,6 +14,7 @@ levels, multiplying by a coefficient-level scalar is done with the explicit
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,10 +47,6 @@ class WeilNumber:
 
     def nilpotent_part(self) -> "WeilNumber":
         return WeilNumber(self.algebra, (self.coeffs[0] * 0,) + self.coeffs[1:])
-
-    def ring_zero(self) -> "WeilNumber":
-        z = zero_like(self.coeffs[0])
-        return WeilNumber(self.algebra, (z,) * self.algebra.dim)
 
     def ring_one(self) -> "WeilNumber":
         z = zero_like(self.coeffs[0])
@@ -195,7 +192,7 @@ def variable(algebra: WeilAlgebra, index: int, at) -> WeilNumber:
 
 def zero_like(s):
     if isinstance(s, WeilNumber):
-        return s.ring_zero()
+        return WeilNumber(s.algebra, (zero_like(s.coeffs[0]),) * s.algebra.dim)
     return s * 0
 
 
@@ -220,24 +217,39 @@ def scalar_like(value: Fraction, template):
 # inversion and pushforward
 
 
-def invert(x: WeilNumber) -> WeilNumber:
-    """Exact inverse of a unit: geometric series in the nilpotent part.
+def geometric(start, ratio, count: int) -> list:
+    """[start, start*ratio, ..., start*ratio^(count-1)]."""
+    out = []
+    for _ in range(count):
+        out.append(out[-1] * ratio if out else start)
+    return out
 
-    With a = constant term and n the nilpotent part, 1/x is
-    (1/a) * sum_{i < r} (-n/a)^i, truncated losslessly at the nilpotency
-    index r.
+
+def compose(x: WeilNumber, coeffs) -> WeilNumber:
+    """sum_k coeffs[k] * n^k over the nilpotent part n of ``x``; coeffs[k] may be elements (nested).
+
+    n^k = n^(k-1) * n keeps the earlier power as the kernel's row operand, so its zero rows
+    below degree k are skipped: about r^3/6 products on jet(r), against r^3/2 for Horner.
     """
+    n = x.nilpotent_part().coeffs
+    out = [coeffs[0]] + [n[0]] * (len(n) - 1)
+    powers = itertools.accumulate(
+        itertools.repeat(n, len(coeffs) - 2), x.algebra.mul_coeffs, initial=n)
+    for c, term in zip(coeffs[1:], powers):
+        for i, t in enumerate(term):
+            if t:
+                out[i] = out[i] + c * t
+    return WeilNumber(x.algebra, tuple(out))
+
+
+def invert(x: WeilNumber) -> WeilNumber:
+    """Exact inverse of a unit: sum_{k < r} (-1)^k n^k / a^(k+1) for the constant term a and
+    the nilpotent part n, truncated losslessly at the nilpotency index r."""
     a = x.augmentation
     if not a:
         raise NotAUnit("constant term is zero; element has no inverse")
-    inv_a = reciprocal(a)
-    t = (-x.nilpotent_part()).scale(inv_a)
-    acc = x.ring_one()
-    term = x.ring_one()
-    for _ in range(x.algebra.nilpotency_index - 1):
-        term = term * t
-        acc = acc + term
-    return acc.scale(inv_a)
+    u = reciprocal(a)
+    return compose(x, geometric(u, -u, x.algebra.nilpotency_index))
 
 
 def power(a, n: int):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import scalars
 from .errors import DomainError, UnsupportedInRationalMode
-from .numbers import WeilNumber, power, reciprocal, scalar_like, zero_like
+from .numbers import WeilNumber, compose, geometric, power, reciprocal, scalar_like, zero_like
 
 
 class Primitive:
@@ -42,9 +42,9 @@ class Primitive:
 def apply_primitive(p: Primitive, x, *params):
     """Evaluate a primitive on an algebra element by exact truncated Taylor expansion.
 
-    f(a + n) = sum_{i < r} f^(i)(a)/i! * n^i with r the nilpotency index;
-    the truncation loses nothing because n^r = 0.  Plain scalars evaluate
-    directly.
+    f(a + n) = sum_{i < r} f^(i)(a)/i! * n^i with r the nilpotency index, summed
+    by :func:`~weilad.numbers.compose`; the truncation loses nothing because
+    n^r = 0.  Plain scalars evaluate directly.
     """
     if not isinstance(x, WeilNumber):
         _check_scalar(p, x, *params)
@@ -54,13 +54,7 @@ def apply_primitive(p: Primitive, x, *params):
     if not isinstance(a, WeilNumber):
         _check_scalar(p, a, *params)
 
-    coeffs = p.taylor(a, x.algebra.nilpotency_index, *params)
-    n = x.nilpotent_part()
-    acc = x.ring_zero().plus_scalar(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * n
-        acc = acc.plus_scalar(c)
-    return acc
+    return compose(x, p.taylor(a, x.algebra.nilpotency_index, *params))
 
 
 def _check_scalar(p: Primitive, a, *params):
@@ -103,14 +97,6 @@ def _over_factorials(derivs):
     for k, d in enumerate(derivs):
         fact *= max(k, 1)
         out.append(_scale(d, Fraction(1, fact)))
-    return out
-
-
-def _geometric(start, ratio, count: int) -> list:
-    """[start, start*ratio, ..., start*ratio^(count-1)]."""
-    out = []
-    for _ in range(count):
-        out.append(out[-1] * ratio if out else start)
     return out
 
 
@@ -202,7 +188,7 @@ class _Sqrt(Primitive):
 
     def taylor(self, a, count):
         out, binom = [], Fraction(1)
-        for k, p in enumerate(_geometric(_value(self, a), reciprocal(a), count)):
+        for k, p in enumerate(geometric(_value(self, a), reciprocal(a), count)):
             out.append(_scale(p, binom))
             binom *= (Fraction(1, 2) - k) / (k + 1)
         return out
@@ -259,7 +245,7 @@ class _Recip(Primitive):
 
     def taylor(self, a, count):
         u = reciprocal(a)
-        return _geometric(u, -u, count)
+        return geometric(u, -u, count)
 
 
 class _PowInt(Primitive):

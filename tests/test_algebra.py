@@ -20,7 +20,7 @@ from weilad.algebra import (
     validate_morphism,
 )
 from weilad.corpus import algebra_family, tensor_pairs
-from weilad.errors import BadParameter, DuplicateGenerator, InfiniteDimension
+from weilad.errors import BadParameter, DuplicateGenerator, InfiniteDimension, SizeLimit
 from weilad.expr import parse_smooth_map
 from weilad.functor import jet, partials
 from weilad.monomial import Monomial
@@ -79,6 +79,37 @@ def test_mixed_relation_basis_against_oracle():
 def test_infinite_dimension_rejected():
     with pytest.raises(InfiniteDimension):
         present_algebra(("x", "y"), [Monomial.of([(0, 2)])])
+
+
+def table_size(w):
+    return sum(map(len, w.struct.rows)) // 3
+
+
+@pytest.mark.parametrize("build, size", [
+    (lambda: jet_algebra(200000), 200001 * 200002 // 2),
+    (lambda: mixed_algebra(*[9] * 7), 55 ** 7),
+    (lambda: tensor(jet_algebra(44), jet_algebra(44)), (45 * 46 // 2) ** 2),
+], ids=["jet", "mixed", "tensor"])
+def test_oversized_table_rejected_before_it_is_built(build, size):
+    with pytest.raises(SizeLimit, match="would hold %d products, more than the bound of %d"
+                       % (size, algebra.MAX_TABLE_SIZE)):
+        build()
+
+
+def test_table_bound_counts_products_of_independent_truncations(monkeypatch):
+    """prod c_i (c_i + 1)/2 is the exact table size of mixed algebras; the bound is inclusive."""
+    assert table_size(mixed_algebra(3, 2)) == 10 * 6
+    rels = [Monomial.of([(0, 4)]), Monomial.of([(1, 3)])]
+    monkeypatch.setattr(algebra, "MAX_TABLE_SIZE", 60)
+    assert table_size(present_algebra(("x", "y"), rels, name="at the bound")) == 60
+    monkeypatch.setattr(algebra, "MAX_TABLE_SIZE", 59)
+    with pytest.raises(SizeLimit, match="60 products, more than the bound of 59"):
+        present_algebra(("x", "y"), rels, name="past the bound")
+
+
+def test_table_bound_admits_the_triple_jet8_tensor():
+    j = jet_algebra(8)
+    assert table_size(tensor(tensor(j, j).algebra, j).algebra) == 45 ** 3 < algebra.MAX_TABLE_SIZE
 
 
 def test_duplicate_generator_rejected():

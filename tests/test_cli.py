@@ -5,7 +5,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from weilad.cli import main
+from weilad.algebra import MAX_TABLE_SIZE
+from weilad.cli import build_parser, main
 
 SCALAR = {"oneOf": [{"type": "number"}, {"type": "string"}]}
 
@@ -251,6 +252,25 @@ def test_max_enum_flag_renders_size_limit(capsys, tmp_path):
     doc = json.loads(out)
     jsonschema.validate(doc, SCHEMAS["error"])
     assert code == 1 and doc["error"] == "SizeLimit"
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["jet", "--fn", "x", "--at", "1", "--order", "200000"], 200001 * 200002 // 2),
+    (["algebra", "info", "mixed:9,9,9,9,9,9,9"], 55 ** 7),
+], ids=["jet", "mixed"])
+def test_oversized_algebra_is_an_error_document(capsys, argv, size):
+    code, out = run(capsys, argv)
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMAS["error"])
+    assert code == 1 and doc["error"] == "SizeLimit"
+    assert "%d products, more than the bound of %d" % (size, MAX_TABLE_SIZE) in doc["message"]
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls():
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        args = build_parser().parse_args(["laws", "run", "--law", "L1"])
+        assert args.law == ["L1"] and args.max_enum is None
 
 
 def test_jet_accepts_function_files(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -18,7 +19,7 @@ from weilad.errors import (
 )
 from weilad.expr import parse_smooth_map
 from weilad.functor import RAW, flatten_nested, jet, nested_inputs
-from weilad.numbers import constant, invert, number, power, push_along, variable
+from weilad.numbers import WeilNumber, constant, invert, number, power, push_along, variable, zero_like
 from weilad.primitives import (
     ATAN,
     COS,
@@ -32,6 +33,8 @@ from weilad.primitives import (
     TANH,
     apply_primitive,
 )
+
+from test_algebra import TABLE_ALGEBRAS
 
 D = dual_algebra(1)
 D2 = dual_algebra(2)
@@ -249,6 +252,81 @@ def test_nested_augmentation_matches_tensor_product(prim, params, at, exact):
         scale = max(abs(c) for c in direct.coeffs)
         for a, b in zip(nested.coeffs, direct.coeffs):
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-13 * scale), prim.name
+
+
+# -- composition -----------------------------------------------------------
+
+
+def horner_primitive(prim, x, *params):
+    """The reference for apply_primitive: its Taylor sum by Horner's rule, acc * n + c."""
+    coeffs = prim.taylor(x.augmentation, x.algebra.nilpotency_index, *params)
+    n = x.nilpotent_part()
+    acc = zero_like(x).plus_scalar(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * n
+        acc = acc.plus_scalar(c)
+    return acc
+
+
+def geometric_inverse(x):
+    """The reference for invert: (1/a) * sum_{i < r} (-n/a)^i."""
+    a = x.augmentation
+    inv_a = geometric_inverse(a) if isinstance(a, WeilNumber) else 1 / a
+    t = (-x.nilpotent_part()).scale(inv_a)
+    acc = term = x.ring_one()
+    for _ in range(x.algebra.nilpotency_index - 1):
+        term = term * t
+        acc = acc + term
+    return acc.scale(inv_a)
+
+
+def hand_built_table():
+    """jet(3) with an ungraded, non-commutative table: x*x = 2x^2, x*x^2 = x/3 - x^2, x^2*x = 1."""
+    table = dict(J3.struct)
+    table[(1, 1)] = ((2, Fraction(2)),)
+    table[(1, 2)] = ((1, Fraction(1, 3)), (2, Fraction(-1)))
+    table[(2, 1)] = ((0, Fraction(1)),)
+    return replace(J3, name="hand-built", struct=table)
+
+
+def assert_close(got, want, label):
+    scale = max(abs(c) for c in want.coeffs)
+    for a, b in zip(got.coeffs, want.coeffs):
+        assert abs(a - b) <= 1e-12 * scale, label
+
+
+COMPOSE_ALGEBRAS = TABLE_ALGEBRAS + [tensor(J3, jet_algebra(5)).algebra, hand_built_table()]
+
+
+@pytest.mark.parametrize("w", COMPOSE_ALGEBRAS, ids=lambda w: w.name)
+def test_compose_matches_horner_and_the_geometric_series(w):
+    rng = random.Random(w.dim)
+    nil = [Fraction(rng.randint(-4, 4), 8) for _ in range(w.dim - 1)]
+    for prim, params, at in NESTED_EXACT:
+        x = number(w, [Fraction(str(at))] + nil)
+        assert apply_primitive(prim, x, *params) == horner_primitive(prim, x, *params), prim.name
+    for prim, params, at in NESTED_FLOAT:
+        x = number(w, [at] + [float(c) for c in nil])
+        assert_close(apply_primitive(prim, x, *params), horner_primitive(prim, x, *params),
+                     prim.name)
+    x = number(w, [Fraction(-3, 2)] + nil)
+    assert invert(x) == geometric_inverse(x)
+
+
+def test_compose_matches_horner_on_nested_coefficients():
+    """jet(5) elements whose coefficients are jet(3) elements."""
+    J5 = jet_algebra(5)
+    rng = random.Random(5)
+    coeffs = [Fraction(9, 10)] + [Fraction(rng.randint(-4, 4), 8) for _ in range(J3.dim * J5.dim - 1)]
+    x = nested_inputs(J3, J5, [number(tensor(J3, J5).algebra, coeffs)])[0]
+    for prim, params, _ in NESTED_EXACT:
+        assert apply_primitive(prim, x, *params) == horner_primitive(prim, x, *params), prim.name
+    assert invert(x) == geometric_inverse(x)
+    xf = nested_inputs(J3, J5, [number(tensor(J3, J5).algebra, [float(c) for c in coeffs])])[0]
+    for prim, params, _ in NESTED_FLOAT:
+        got = flatten_nested(J3, J5, apply_primitive(prim, xf, *params))
+        want = flatten_nested(J3, J5, horner_primitive(prim, xf, *params))
+        assert_close(got, want, prim.name)
 
 
 # -- pushforward -----------------------------------------------------------
